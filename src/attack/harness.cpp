@@ -1,7 +1,5 @@
 #include "attack/harness.hpp"
 
-#include <memory>
-
 #include "telemetry/telemetry.hpp"
 
 namespace srbsg::attack {
@@ -13,27 +11,8 @@ AttackResult run_attack(ctl::MemoryController& mc, Attacker& attacker, u64 write
 AttackResult run_attack(ctl::MemoryController& mc, Attacker& attacker, u64 write_budget,
                         const HarnessOptions& opts) {
   telemetry::Recorder* prev = mc.telemetry();
-  std::unique_ptr<telemetry::Recorder> local;
   telemetry::Recorder* rec = opts.recorder;
-  if (rec == nullptr && opts.collect_latency) {
-    // The deprecated latency path needs only aggregates: a capacity-0
-    // ring keeps the counters and drops every event.
-    telemetry::TelemetryConfig cfg;
-    cfg.ring_capacity = 0;
-    local = std::make_unique<telemetry::Recorder>(cfg);
-    rec = local.get();
-  }
-  const auto& core = telemetry::CoreCounters::get();
-  u64 writes_before = 0, service_before = 0, movements_before = 0;
-  if (rec != nullptr) {
-    // Snapshot so a caller-supplied recorder with prior history still
-    // yields per-run latency deltas (gauges are monotone, so max_single
-    // reflects the whole recorder, not just this run).
-    writes_before = rec->counter(core.writes);
-    service_before = rec->counter(core.service_ns);
-    movements_before = rec->counter(core.movements);
-    mc.set_telemetry(rec);
-  }
+  if (rec != nullptr) mc.set_telemetry(rec);
   attacker.run(mc, write_budget);
   AttackResult res;
   res.succeeded = mc.failed();
@@ -47,14 +26,6 @@ AttackResult run_attack(ctl::MemoryController& mc, Attacker& attacker, u64 write
   res.attacker = std::string(attacker.name());
   res.scheme = std::string(mc.scheme().name());
   res.detail = attacker.detail();
-  if (opts.collect_latency && rec != nullptr) {
-    ctl::LatencyStats stats;
-    stats.writes = rec->counter(core.writes) - writes_before;
-    stats.total = Ns{rec->counter(core.service_ns) - service_before};
-    stats.movements = rec->counter(core.movements) - movements_before;
-    stats.max_single = Ns{rec->counter(core.max_write_ns)};
-    res.latency = stats;
-  }
   if (rec != nullptr) mc.set_telemetry(prev);
   return res;
 }

@@ -1,7 +1,6 @@
 #pragma once
 // Drives an attacker against a controller and reports the outcome.
 
-#include <optional>
 #include <string>
 
 #include "attack/attacker.hpp"
@@ -20,20 +19,12 @@ struct AttackResult {
   std::string attacker;
   std::string scheme;
   std::string detail;
-  /// Present only when HarnessOptions::collect_latency was set.
-  std::optional<ctl::LatencyStats> latency;
 };
 
 struct HarnessOptions {
-  /// Deprecated alias for telemetry-backed latency aggregation, kept for
-  /// source compatibility. Setting it registers a counters-only telemetry
-  /// recorder for the run (reusing `recorder` when one is given) and
-  /// rebuilds AttackResult::latency from the counter deltas — the same
-  /// numbers the old controller-side sink produced. Off by default.
-  bool collect_latency{false};
   /// Telemetry for the run: attached to the controller (and its scheme)
   /// for the duration of run_attack, then detached. Not owned; nullptr
-  /// leaves telemetry off unless collect_latency asks for counters.
+  /// leaves telemetry off.
   telemetry::Recorder* recorder{nullptr};
 };
 

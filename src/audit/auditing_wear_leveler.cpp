@@ -32,14 +32,6 @@ wl::WriteOutcome AuditingWearLeveler::write(La la, const pcm::LineData& data,
   return out;
 }
 
-wl::BulkOutcome AuditingWearLeveler::write_repeated(La la, const pcm::LineData& data,
-                                                    u64 count, pcm::PcmBank& bank) {
-  capture_baseline(bank);
-  const wl::BulkOutcome out = inner_->write_repeated(la, data, count, bank);
-  account(out.writes_applied, out.movements, bank);
-  return out;
-}
-
 wl::BulkOutcome AuditingWearLeveler::write_batch(std::span<const La> las,
                                                  const pcm::LineData& data,
                                                  pcm::PcmBank& bank) {

@@ -62,8 +62,6 @@ class AuditingWearLeveler final : public wl::WearLeveler {
   [[nodiscard]] Pa translate(La la) const override { return inner_->translate(la); }
 
   wl::WriteOutcome write(La la, const pcm::LineData& data, pcm::PcmBank& bank) override;
-  wl::BulkOutcome write_repeated(La la, const pcm::LineData& data, u64 count,
-                                 pcm::PcmBank& bank) override;
   wl::BulkOutcome write_batch(std::span<const La> las, const pcm::LineData& data,
                               pcm::PcmBank& bank) override;
   wl::BulkOutcome write_cycle(std::span<const La> pattern, const pcm::LineData& data,

@@ -101,13 +101,6 @@ void MemoryController::feed_detector(La la, u64 count) {
   }
 }
 
-void MemoryController::account_bulk(const wl::BulkOutcome& out) {
-  if (!latency_sink_) return;
-  latency_sink_->writes += out.writes_applied;
-  latency_sink_->total += out.total;
-  latency_sink_->movements += out.movements;
-}
-
 wl::WriteOutcome MemoryController::write(La la, const pcm::LineData& data) {
   // The recorder clock is pinned to the op-entry instant; events emitted
   // inside the scheme all carry this timestamp, which is what makes the
@@ -118,12 +111,6 @@ wl::WriteOutcome MemoryController::write(La la, const pcm::LineData& data) {
   now_ += out.total;
   ++writes_issued_;
   maybe_record_failure(pcm::write_latency(bank_.config(), data.cls));
-  if (latency_sink_) {
-    ++latency_sink_->writes;
-    latency_sink_->total += out.total;
-    latency_sink_->movements += out.movements;
-    latency_sink_->max_single = std::max(latency_sink_->max_single, out.total);
-  }
   note_writes(1, out.total, out.movements, pcm::write_latency(bank_.config(), data.cls));
   if (tel_ != nullptr) {
     tel_->gauge_max(telemetry::CoreCounters::get().max_write_ns, out.total.value());
@@ -131,34 +118,11 @@ wl::WriteOutcome MemoryController::write(La la, const pcm::LineData& data) {
   return out;
 }
 
-wl::BulkOutcome MemoryController::write_repeated(La la, const pcm::LineData& data, u64 count) {
-  // Bulk writes notify the detector up-front; a boost therefore applies
-  // from the start of the bulk, which only makes the defense stronger.
-  if (tel_ != nullptr) tel_->set_now(now_);
-  const bool traced_eval = tel_ != nullptr && detector_ != nullptr;
-  if (traced_eval) {
-    tel_->span_begin(telemetry::SpanKind::kDetectorEval, tel_id_, telemetry::kGlobalDomain, 0,
-                     count);
-  }
-  feed_detector(la, count);
-  if (traced_eval) {
-    tel_->span_end(telemetry::SpanKind::kDetectorEval, tel_id_, telemetry::kGlobalDomain, 0,
-                   count);
-  }
-  const wl::BulkOutcome out = scheme_->write_repeated(la, data, count, bank_);
-  now_ += out.total;
-  writes_issued_ += out.writes_applied;
-  maybe_record_failure(pcm::write_latency(bank_.config(), data.cls));
-  account_bulk(out);
-  note_writes(out.writes_applied, out.total, out.movements,
-              pcm::write_latency(bank_.config(), data.cls));
-  return out;
-}
-
 wl::BulkOutcome MemoryController::write_batch(std::span<const La> las,
                                               const pcm::LineData& data) {
-  // Like write_repeated, the detector sees the whole block before any
-  // write lands; the record sequence matches the per-write loop exactly.
+  // The detector sees the whole block before any write lands (a boost
+  // therefore applies from the start of the block, which only makes the
+  // defense stronger); the record sequence matches the per-write loop.
   if (tel_ != nullptr) tel_->set_now(now_);
   if (detector_) {
     const bool traced_eval = tel_ != nullptr;
@@ -176,7 +140,6 @@ wl::BulkOutcome MemoryController::write_batch(std::span<const La> las,
   now_ += out.total;
   writes_issued_ += out.writes_applied;
   maybe_record_failure(pcm::write_latency(bank_.config(), data.cls));
-  account_bulk(out);
   note_writes(out.writes_applied, out.total, out.movements,
               pcm::write_latency(bank_.config(), data.cls));
   return out;
@@ -205,7 +168,6 @@ wl::BulkOutcome MemoryController::write_cycle(std::span<const La> pattern,
   now_ += out.total;
   writes_issued_ += out.writes_applied;
   maybe_record_failure(pcm::write_latency(bank_.config(), data.cls));
-  account_bulk(out);
   note_writes(out.writes_applied, out.total, out.movements,
               pcm::write_latency(bank_.config(), data.cls));
   return out;

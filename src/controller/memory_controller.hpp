@@ -25,16 +25,6 @@ struct FailureInfo {
   u64 total_writes{0};  ///< logical writes issued up to the failure
 };
 
-/// Aggregate observed-latency statistics, accumulated only when a caller
-/// opts in via MemoryController::set_latency_sink — long attack and
-/// lifetime runs that discard per-write latencies pay nothing for it.
-struct LatencyStats {
-  u64 writes{0};     ///< writes contributing to `total`
-  Ns total{0};       ///< observed service time (data writes + remap stalls)
-  u64 movements{0};  ///< remap movements folded into `total`
-  Ns max_single{0};  ///< slowest single write (per-write path only)
-};
-
 class MemoryController {
  public:
   MemoryController(const pcm::PcmConfig& cfg, std::unique_ptr<wl::WearLeveler> scheme);
@@ -53,13 +43,16 @@ class MemoryController {
   /// any remap stall) — this is the timing oracle.
   wl::WriteOutcome write(La la, const pcm::LineData& data);
 
-  /// `count` identical writes to `la` (event-driven fast path).
-  wl::BulkOutcome write_repeated(La la, const pcm::LineData& data, u64 count);
+  /// `count` identical writes to `la`: write_cycle() with a one-element
+  /// pattern.
+  wl::BulkOutcome write_repeated(La la, const pcm::LineData& data, u64 count) {
+    return write_cycle(std::span<const La>(&la, 1), data, count);
+  }
 
   /// Applies `las` in order through the scheme's batched path;
   /// bit-identical to per-write issue except that an attached detector
-  /// sees the whole block up-front (same convention as write_repeated —
-  /// a boost applies from the start of the block, which only makes the
+  /// sees the whole block up-front (same convention as write_cycle — a
+  /// boost applies from the start of the block, which only makes the
   /// defense stronger).
   wl::BulkOutcome write_batch(std::span<const La> las, const pcm::LineData& data);
 
@@ -93,11 +86,6 @@ class MemoryController {
   void enable_detector(const wl::AttackDetectorConfig& cfg);
   [[nodiscard]] const wl::AttackDetector* detector() const { return detector_.get(); }
 
-  /// Opt-in latency accumulation: pass a stats object to start
-  /// accumulating, nullptr to stop. The sink must outlive the controller
-  /// or be detached first.
-  void set_latency_sink(LatencyStats* sink) { latency_sink_ = sink; }
-
   /// Opt-in telemetry: attaches the recorder to the controller and the
   /// scheme (nullptr detaches both). Observation-only — counters and
   /// events never feed back into scheme or detector decisions, so the
@@ -113,7 +101,6 @@ class MemoryController {
   void maybe_record_failure(Ns per_write_latency);
 
   void feed_detector(La la, u64 count);
-  void account_bulk(const wl::BulkOutcome& out);
 
   /// Telemetry bookkeeping shared by every write path: advances the
   /// recorder clock, bumps the core counters, splits the observed bulk
@@ -132,7 +119,6 @@ class MemoryController {
   Ns now_{0};
   u64 writes_issued_{0};
   std::optional<FailureInfo> failure_;
-  LatencyStats* latency_sink_{nullptr};
   telemetry::Recorder* tel_{nullptr};
   u16 tel_id_{0};
 };

@@ -51,12 +51,14 @@ u64 LogHistogram::quantile(double q) const {
   // product is exact for every realistic count and identical on every
   // IEEE-754 platform, so serialized quantiles stay deterministic.
   const u64 rank = static_cast<u64>(q * static_cast<double>(count_ - 1));
+  // A bucket's lower bound can undercut the smallest recorded sample;
+  // clamping keeps every quantile inside the observed [min, max].
   u64 cum = 0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     cum += counts_[i];
-    if (cum > rank) return bucket_lo(static_cast<u32>(i));
+    if (cum > rank) return std::clamp(bucket_lo(static_cast<u32>(i)), min_, max_);
   }
-  return bucket_lo(static_cast<u32>(counts_.size()) - 1);
+  return max_;
 }
 
 void LogHistogram::clear() {

@@ -28,7 +28,7 @@ class LogHistogram {
   [[nodiscard]] static u32 bucket_index(u64 v);
 
   /// Smallest value mapping to bucket `idx` (quantiles report this
-  /// conservative lower bound).
+  /// conservative lower bound, clamped to the recorded range).
   [[nodiscard]] static u64 bucket_lo(u32 idx);
 
   /// Record `weight` samples of value `v` (bulk paths record a whole
@@ -45,8 +45,8 @@ class LogHistogram {
   [[nodiscard]] u64 max() const { return max_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
 
-  /// Lower bound of the bucket holding the q-th sample (0 <= q <= 1);
-  /// 0 on an empty histogram.
+  /// Lower bound of the bucket holding the q-th sample (0 <= q <= 1),
+  /// clamped to [min(), max()]; 0 on an empty histogram.
   [[nodiscard]] u64 quantile(double q) const;
 
   /// Sparse bucket-index-ordered view; zero-count buckets are skipped.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace srbsg::wl::batch {
 
@@ -49,54 +48,51 @@ u64 HitSet::until_nth(u64 start, u64 n) const {
   return cycles * period_ + off + 1;
 }
 
-void build_line_scheds(std::span<const Pa> pas, const pcm::PcmBank& bank,
-                       std::vector<LineSched>& out) {
-  out.clear();
-  const u64 period = pas.size();
-  std::vector<std::pair<u64, u64>> keyed;  // (pa, position), lexicographic
+namespace {
+
+/// Groups pattern positions [0, period) by `key_of(position)`, skipping
+/// kNoDomain keys, and calls `emit(key, hits)` once per distinct key in
+/// ascending key order.
+template <typename KeyOf, typename Emit>
+void group_positions(u64 period, KeyOf&& key_of, Emit&& emit) {
+  std::vector<std::pair<u64, u64>> keyed;  // (key, position), lexicographic
   keyed.reserve(period);
-  for (u64 i = 0; i < period; ++i) keyed.emplace_back(pas[i].value(), i);
+  for (u64 i = 0; i < period; ++i) {
+    if (key_of(i) != kNoDomain) keyed.emplace_back(key_of(i), i);
+  }
   std::sort(keyed.begin(), keyed.end());
-  for (u64 i = 0; i < period;) {
-    u64 j = i;
+  for (std::size_t i = 0; i < keyed.size();) {
     std::vector<u64> offs;
-    while (j < period && keyed[j].first == keyed[i].first) {
+    std::size_t j = i;
+    for (; j < keyed.size() && keyed[j].first == keyed[i].first; ++j) {
       offs.push_back(keyed[j].second);
-      ++j;
     }
-    LineSched ls;
-    ls.pa = Pa{keyed[i].first};
-    ls.hits = HitSet(std::move(offs), period);
-    // Writes this line can absorb until it records the first failure; the
-    // engine only runs while the bank has none, so wear < limit here.
-    const u64 limit = bank.line_endurance(ls.pa);
-    const u64 wear = bank.wear(ls.pa);
-    ls.remaining = limit > wear ? limit - wear : 1;
-    out.push_back(std::move(ls));
+    emit(keyed[i].first, HitSet(std::move(offs), period));
     i = j;
   }
 }
 
+}  // namespace
+
+void build_line_scheds(std::span<const Pa> pas, const pcm::PcmBank& bank,
+                       std::vector<LineSched>& out) {
+  out.clear();
+  const auto pa_of = [&](u64 i) { return pas[i].value(); };
+  group_positions(pas.size(), pa_of, [&](u64 pa, HitSet hits) {
+    // Writes this line can absorb until it records the first failure; the
+    // engine only runs while the bank has none, so wear < limit here.
+    const u64 limit = bank.line_endurance(Pa{pa});
+    const u64 wear = bank.wear(Pa{pa});
+    out.push_back(LineSched{Pa{pa}, std::move(hits), limit > wear ? limit - wear : 1});
+  });
+}
+
 void build_domain_scheds(std::span<const u64> keys, std::vector<DomainSched>& out) {
   out.clear();
-  const u64 period = keys.size();
-  std::vector<std::pair<u64, u64>> keyed;  // (domain, position)
-  keyed.reserve(period);
-  for (u64 i = 0; i < period; ++i) {
-    if (keys[i] != kNoDomain) keyed.emplace_back(keys[i], i);
-  }
-  std::sort(keyed.begin(), keyed.end());
-  const u64 n = keyed.size();
-  for (u64 i = 0; i < n;) {
-    u64 j = i;
-    std::vector<u64> offs;
-    while (j < n && keyed[j].first == keyed[i].first) {
-      offs.push_back(keyed[j].second);
-      ++j;
-    }
-    out.push_back(DomainSched{keyed[i].first, HitSet(std::move(offs), period)});
-    i = j;
-  }
+  const auto key_of = [&](u64 i) { return keys[i]; };
+  group_positions(keys.size(), key_of, [&](u64 key, HitSet hits) {
+    out.push_back(DomainSched{key, std::move(hits)});
+  });
 }
 
 u64 cap_chunk_at_failure(std::span<const LineSched> lines, u64 start, u64 chunk) {
@@ -109,34 +105,6 @@ u64 cap_chunk_at_failure(std::span<const LineSched> lines, u64 start, u64 chunk)
     }
   }
   return cap;
-}
-
-Ns apply_chunk(std::span<LineSched> lines, const pcm::LineData& data, u64 start, u64 chunk,
-               pcm::PcmBank& bank) {
-  return apply_chunk(lines, data, start, chunk, bank, nullptr, 0, 0);
-}
-
-Ns apply_chunk(std::span<LineSched> lines, const pcm::LineData& data, u64 start, u64 chunk,
-               pcm::PcmBank& bank, telemetry::Recorder* tel, u16 scheme, u64 base_ns) {
-  const bool traced = tel != nullptr && chunk > 0;
-  if (traced) {
-    tel->span_begin(telemetry::SpanKind::kBatchChunk, scheme, telemetry::kGlobalDomain,
-                    base_ns, chunk);
-    tel->emit(telemetry::EventType::kBatchChunkApplied, scheme, telemetry::kGlobalDomain, start,
-              chunk);
-  }
-  Ns total{0};
-  for (auto& ls : lines) {
-    const u64 h = ls.hits.hits_in(start, chunk);
-    if (h == 0) continue;
-    total += bank.bulk_write(ls.pa, data, h);
-    ls.remaining = ls.remaining > h ? ls.remaining - h : 0;
-  }
-  if (traced) {
-    tel->span_end(telemetry::SpanKind::kBatchChunk, scheme, telemetry::kGlobalDomain,
-                  base_ns + total.value(), chunk);
-  }
-  return total;
 }
 
 }  // namespace srbsg::wl::batch

@@ -1,5 +1,5 @@
 #pragma once
-// Shared machinery for the batched write paths (write_batch/write_cycle).
+// Hit schedules for the bulk-write engine (wl/engine.hpp).
 //
 // A periodic pattern of L addresses is described by *hit schedules*: for
 // each distinct physical line (and each remap-counter domain) the sorted
@@ -13,12 +13,10 @@
 // reference loop would — the bit-identity contract of DESIGN.md §11.
 
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 #include "pcm/bank.hpp"
-#include "wl/wear_leveler.hpp"
 
 namespace srbsg::wl::batch {
 
@@ -29,14 +27,14 @@ inline constexpr u64 kUnbounded = ~u64{0};
 /// (e.g. the Security-RBSG outer spare line).
 inline constexpr u64 kNoDomain = ~u64{0};
 
-/// Minimum run of identical addresses for which run_compressed_batch()
-/// delegates to the event-driven write_cycle() fast path.
+/// Minimum run of identical addresses for which write_batch() delegates
+/// to the event-driven write_cycle() fast path.
 inline constexpr u64 kRunThreshold = 16;
 
 /// A pattern whose period exceeds this multiple of the smallest effective
 /// remapping interval gains nothing from windowing (every window would
-/// rescan O(L) schedules); scheme overrides fall back to the generic
-/// per-write loop beyond it.
+/// rescan O(L) schedules); the engine falls back to the generic per-write
+/// loop beyond it.
 inline constexpr u64 kPatternFallbackFactor = 4;
 
 /// Sorted pattern offsets (subset of [0, period)) hit by one line/domain.
@@ -106,52 +104,30 @@ template <typename T>
 /// same write the per-write reference loop would stop after.
 [[nodiscard]] u64 cap_chunk_at_failure(std::span<const LineSched> lines, u64 start, u64 chunk);
 
-/// Apply `chunk` writes (from phase `start`) as per-line bulk writes and
-/// decrement each schedule's `remaining`. Returns the summed latency,
-/// which equals the per-write sum because one batch carries one data
-/// value (constant per-write latency).
-[[nodiscard]] Ns apply_chunk(std::span<LineSched> lines, const pcm::LineData& data, u64 start,
-                             u64 chunk, pcm::PcmBank& bank);
+/// A periodic pattern's current mapping and hit schedules: the state the
+/// engine's windowed and epoch loops share, and the view a scheme's epoch
+/// plan/fold reads. Owned by the engine and reused across calls, so the
+/// buffers keep their capacity; invalidate() on entry forces the first
+/// refresh to rebuild every schedule from the bank's current wear.
+struct Window {
+  u64 phase{0};                   ///< pattern offset of the next write
+  std::vector<Pa> pas;            ///< current PA per pattern position
+  std::vector<u64> keys;          ///< counter domain per position (kNoDomain: none)
+  std::vector<u64> ias;           ///< outer-level (intermediate) address per position
+  std::vector<DomainSched> doms;  ///< per-domain hit schedules
+  std::vector<LineSched> lines;   ///< per-distinct-PA hit schedules
+  // Scratch for refreshes and the epoch loop's scan-exclusion sets.
+  std::vector<Pa> pas_fresh;
+  std::vector<u64> keys_fresh;
+  std::vector<u64> slots;
+  std::vector<u64> prev_slots;
 
-/// Telemetry-aware variant: records a BatchChunkApplied event (a=phase,
-/// b=writes in the window) when `tel` is non-null before applying, and
-/// brackets the chunk with a BatchChunk span over its latency window —
-/// `base_ns` is the caller's accumulated intra-op latency at chunk
-/// entry. The plain overload forwards here with a null recorder.
-[[nodiscard]] Ns apply_chunk(std::span<LineSched> lines, const pcm::LineData& data, u64 start,
-                             u64 chunk, pcm::PcmBank& bank, telemetry::Recorder* tel,
-                             u16 scheme, u64 base_ns);
-
-/// Shared write_batch skeleton: walk maximal runs of identical addresses,
-/// sending long runs through the scheme's write_cycle() fast path and
-/// short ones through `per_write(la, out)` — the scheme's hoisted
-/// single-write body (translation state, counters and bank resolved
-/// outside the loop). Stops after the write that records a failure,
-/// exactly like the per-write reference loop.
-template <typename Scheme, typename PerWrite>
-BulkOutcome run_compressed_batch(Scheme& self, std::span<const La> las,
-                                 const pcm::LineData& data, pcm::PcmBank& bank,
-                                 PerWrite&& per_write) {
-  BulkOutcome out;
-  const u64 n = las.size();
-  u64 i = 0;
-  while (i < n && !bank.has_failure()) {
-    u64 run = 1;
-    while (i + run < n && las[i + run].value() == las[i].value()) ++run;
-    if (run >= kRunThreshold) {
-      const BulkOutcome b = self.write_cycle(las.subspan(i, 1), data, run, bank);
-      out.total += b.total;
-      out.writes_applied += b.writes_applied;
-      out.movements += b.movements;
-      if (b.writes_applied < run) break;
-    } else {
-      for (u64 k = 0; k < run && !bank.has_failure(); ++k) {
-        per_write(las[i + k], out);
-      }
-    }
-    i += run;
+  void invalidate() {
+    pas.clear();
+    keys.clear();
+    ias.clear();
+    slots.clear();
   }
-  return out;
-}
+};
 
 }  // namespace srbsg::wl::batch

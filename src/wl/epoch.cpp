@@ -4,8 +4,8 @@
 
 namespace srbsg::wl::epoch {
 
-ScanResult scan_uniform(const pcm::PcmBank& bank, u64 phys_lines,
-                        std::span<const u64> exclude_sorted) {
+ScanResult scan_slots(const pcm::PcmBank& bank, u64 phys_lines,
+                      std::span<const u64> exclude_sorted, bool need_uniform) {
   ScanResult r;
   r.min_headroom = ~u64{0};
   std::size_t x = 0;
@@ -16,54 +16,42 @@ ScanResult scan_uniform(const pcm::PcmBank& bank, u64 phys_lines,
       continue;
     }
     const Pa p{pa};
-    const pcm::LineData& d = bank.data(p);
-    if (!have_content) {
-      r.content = d;
-      have_content = true;
-    } else if (!(d == r.content)) {
-      return r;  // not uniform; r.uniform stays false
+    if (need_uniform) {
+      const pcm::LineData& d = bank.data(p);
+      if (!have_content) {
+        r.content = d;
+        have_content = true;
+      } else if (!(d == r.content)) {
+        return r;  // not uniform; r.uniform stays false
+      }
     }
     const u64 limit = bank.line_endurance(p);
     const u64 w = bank.wear(p);
     const u64 h = limit > w ? limit - w : 0;
     if (h < r.min_headroom) r.min_headroom = h;
   }
-  r.uniform = have_content;
+  r.uniform = have_content || !need_uniform;
   return r;
 }
 
-u64 min_headroom_excluding(const pcm::PcmBank& bank, u64 phys_lines,
-                           std::span<const u64> exclude_sorted) {
-  u64 min = ~u64{0};
-  std::size_t x = 0;
-  for (u64 pa = 0; pa < phys_lines; ++pa) {
-    if (x < exclude_sorted.size() && exclude_sorted[x] == pa) {
-      ++x;
-      continue;
-    }
-    const Pa p{pa};
-    const u64 limit = bank.line_endurance(p);
-    const u64 w = bank.wear(p);
-    const u64 h = limit > w ? limit - w : 0;
-    if (h < min) min = h;
-  }
-  return min;
-}
-
-bool CallCache::restore(const pcm::PcmBank& bank, HeadroomBudget& budget) {
+bool CallCache::restore(const pcm::PcmBank& bank, HeadroomBudget& budget,
+                        std::vector<u64>& excluded) {
   if (bank_ != &bank || incarnation_ != bank.incarnation() ||
       seq_ != bank.mutation_seq()) {
     return false;
   }
   budget.seed(budget_);
+  excluded.assign(excluded_.begin(), excluded_.end());
   return true;
 }
 
-void CallCache::save(const pcm::PcmBank& bank, const HeadroomBudget& budget) {
+void CallCache::save(const pcm::PcmBank& bank, const HeadroomBudget& budget,
+                     std::span<const u64> excluded) {
   bank_ = &bank;
   incarnation_ = bank.incarnation();
   seq_ = bank.mutation_seq();
   budget_ = budget.remaining();
+  excluded_.assign(excluded.begin(), excluded.end());
 }
 
 void emit_jump(telemetry::Recorder* tel, u16 scheme, u32 domain, u64 writes, u64 steps,

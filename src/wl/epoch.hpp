@@ -1,27 +1,7 @@
 #pragma once
-// Epoch fast-forward support (DESIGN.md §15).
-//
-// Between remap triggers the LA→PA map of every scheme is frozen, so a
-// periodic pattern's per-line wear over one whole epoch is a constant
-// vector. The per-scheme epoch engines jump many epochs at once: pattern
-// wear lands as one bulk_write per distinct PA (exact, failure-checked
-// via HitSet::until_nth), and the remap steps inside the jump are folded
-// into aggregate sweeps whose data movement is provably a no-op. That
-// proof needs two facts this header computes:
-//   1. every movement slot holds one shared content value V (so moves and
-//      swaps neither change bank data nor vary in latency), and
-//   2. no movement slot can reach its endurance limit inside the jump
-//      (so unchecked aggregate wear records the same failure — none — as
-//      the per-write reference loop).
-// Any violation, boundary (rekey, gap wrap, pattern-slot touch), detector
-// change, or inexpressible state makes the scheme fall back to the PR-4
-// windowed path for the rest of the call — bit-identity is never traded
-// for speed.
-//
-// SecurityRbsg uses a stronger variant that needs no content proof at
-// all: its aggregated sweeps replay the data shift exactly (an O(moves)
-// window walk over bank.data), so only fact 2 — the headroom budget —
-// is required, and the scan never fails on attack-polluted banks.
+// Proof machinery for the engine's epoch tier (wl/engine.hpp, DESIGN.md
+// §15): the movement-slot scan, the headroom budget it seeds, the
+// cross-call proof cache, and the tier's telemetry.
 
 #include <span>
 #include <vector>
@@ -32,28 +12,23 @@
 
 namespace srbsg::wl::epoch {
 
-/// Result of one uniformity/headroom scan over the movement slots.
+/// Result of one scan over the movement slots.
 struct ScanResult {
-  bool uniform{false};      ///< all scanned slots hold identical content
+  bool uniform{false};      ///< every scanned slot holds `content` (or none was asked)
   pcm::LineData content{};  ///< the shared content V; valid iff `uniform`
   u64 min_headroom{0};      ///< smallest limit−wear margin over scanned slots
 };
 
-/// Scan physical lines [0, phys_lines), skipping the strictly increasing
-/// `exclude_sorted` slots (pattern lines, gaps, spares — the slots whose
-/// wear and content the engines track exactly). O(lines), run once per
-/// bulk-entry call and amortized over every jump inside it.
-[[nodiscard]] ScanResult scan_uniform(const pcm::PcmBank& bank, u64 phys_lines,
-                                      std::span<const u64> exclude_sorted);
-
-/// Headroom-only scan: smallest limit−wear margin over [0, phys_lines)
-/// minus the strictly increasing `exclude_sorted` slots. Used by engines
-/// that replay data movement exactly (SecurityRbsg) and therefore need no
-/// content proof — only the guarantee that unchecked aggregate wear
-/// cannot push a movement slot past its endurance limit. Never "fails":
-/// a tiny result simply exhausts the budget sooner.
-[[nodiscard]] u64 min_headroom_excluding(const pcm::PcmBank& bank, u64 phys_lines,
-                                         std::span<const u64> exclude_sorted);
+/// Scans physical lines [0, phys_lines) minus the strictly increasing
+/// `exclude_sorted` slots (pattern lines and stale gaps — the slots the
+/// engine tracks exactly) for their smallest headroom. With
+/// `need_uniform` it also proves that every scanned slot holds one
+/// content value, and stops at the first that differs (`uniform` stays
+/// false). Without, it never fails: a tiny result simply exhausts the
+/// budget sooner. O(lines), run once per bulk call and amortized over
+/// every jump inside it.
+[[nodiscard]] ScanResult scan_slots(const pcm::PcmBank& bank, u64 phys_lines,
+                                    std::span<const u64> exclude_sorted, bool need_uniform);
 
 /// Writes-to-failure budget for movement slots. Seeded from a min-headroom
 /// scan and spent conservatively (worst-case wear per jump); when a spend
@@ -74,27 +49,34 @@ class HeadroomBudget {
   u64 budget_{0};
 };
 
-/// Cross-call budget cache. A fully-epoch call leaves the bank in a
-/// settled state whose headroom proof (the remaining conservative budget)
-/// is still valid when the next bulk call arrives — unless anything wrote
-/// to the bank in between. Validity is established with the bank's
-/// (address, incarnation, mutation_seq) stamp, so attack loops probing in
-/// short write_cycle bursts (BPA's 256-write chunks) pay the O(lines)
-/// headroom scan once instead of per call, while any out-of-band mutation
-/// (other entry points, direct pokes in tests) changes the stamp and
-/// forces a fresh scan.
+/// Cross-call proof cache. A fully-epoch call leaves the bank in a
+/// settled state whose headroom proof — the remaining conservative budget
+/// and the slots it excluded — is still valid when the next bulk call
+/// arrives, unless anything wrote to the bank in between. Validity is
+/// established with the bank's (address, incarnation, mutation_seq)
+/// stamp, so attack loops probing in short write_cycle bursts (BPA's
+/// 256-write chunks) pay the O(lines) headroom scan once instead of per
+/// call, while any out-of-band mutation (other entry points, direct pokes
+/// in tests) changes the stamp and forces a fresh scan. The exclusion set
+/// travels with the budget: a new pattern returns the previous pattern's
+/// slots to the movement pool, so the caller must fold their headroom in
+/// before spending the budget on them.
 class CallCache {
  public:
-  /// Adopt the saved budget iff `bank` is bit-for-bit the state save() saw.
-  [[nodiscard]] bool restore(const pcm::PcmBank& bank, HeadroomBudget& budget);
+  /// Adopt the saved proof iff `bank` is bit-for-bit the state save()
+  /// saw: the budget, and in `excluded` the sorted slots it does not cover.
+  [[nodiscard]] bool restore(const pcm::PcmBank& bank, HeadroomBudget& budget,
+                             std::vector<u64>& excluded);
   /// Record the proof after the final write of a fully-epoch call.
-  void save(const pcm::PcmBank& bank, const HeadroomBudget& budget);
+  void save(const pcm::PcmBank& bank, const HeadroomBudget& budget,
+            std::span<const u64> excluded);
 
  private:
   const pcm::PcmBank* bank_{nullptr};
   u64 incarnation_{0};
   u64 seq_{0};
   u64 budget_{0};
+  std::vector<u64> excluded_;
 };
 
 /// Emit one kEpochApplied event (a = writes jumped, b = remap steps

@@ -6,8 +6,6 @@
 #include "common/check.hpp"
 #include "telemetry/telemetry.hpp"
 #include "pcm/timing.hpp"
-#include "wl/batch.hpp"
-#include "wl/epoch.hpp"
 
 namespace srbsg::wl {
 
@@ -29,14 +27,7 @@ MultiWaySecurityRefresh::MultiWaySecurityRefresh(const MultiWaySrConfig& cfg)
   counter_.assign(cfg_.regions, 0);
 }
 
-Pa MultiWaySecurityRefresh::translate(La la) const {
-  check(la.value() < cfg_.lines, "MultiWaySecurityRefresh: address out of range");
-  const u64 q = la.value() >> region_bits_;
-  const u64 off = la.value() & low_mask(region_bits_);
-  return Pa{(q << region_bits_) | regions_[q].translate(off)};
-}
-
-Ns MultiWaySecurityRefresh::do_step(u64 q, pcm::PcmBank& bank, u64* movements) {
+Ns MultiWaySecurityRefresh::fire_domain(u64 q, pcm::PcmBank& bank, u64& moved) {
   if (tel_ != nullptr) {
     tel_->emit(telemetry::EventType::kRemapTriggered, tel_id_, checked_narrow<u32>(q),
                telemetry::kLevelInner, 0);
@@ -47,7 +38,7 @@ Ns MultiWaySecurityRefresh::do_step(u64 q, pcm::PcmBank& bank, u64* movements) {
     tel_->emit(telemetry::EventType::kKeyRerandomized, tel_id_, checked_narrow<u32>(q), 0, 0);
   }
   if (!swap) return Ns{0};
-  if (movements) ++*movements;
+  ++moved;
   const u64 base = q << region_bits_;
   const Pa pa{base | swap->a};
   const Pa pb{base | swap->b};
@@ -58,21 +49,6 @@ Ns MultiWaySecurityRefresh::do_step(u64 q, pcm::PcmBank& bank, u64* movements) {
   return bank.swap_lines(pa, pb);
 }
 
-WriteOutcome MultiWaySecurityRefresh::write(La la, const pcm::LineData& data,
-                                            pcm::PcmBank& bank) {
-  const u64 q = la.value() >> region_bits_;
-  WriteOutcome out;
-  out.total = bank.write(translate(la), data);
-  if (++counter_[q] >= effective_interval()) {
-    counter_[q] = 0;
-    u64 moved = 0;
-    out.stall = do_step(q, bank, &moved);
-    out.movements = checked_narrow<u32>(moved);
-    out.total += out.stall;
-  }
-  return out;
-}
-
 void MultiWaySecurityRefresh::validate_state() const {
   for (u64 q = 0; q < cfg_.regions; ++q) {
     regions_[q].validate();
@@ -80,306 +56,64 @@ void MultiWaySecurityRefresh::validate_state() const {
   }
 }
 
-BulkOutcome MultiWaySecurityRefresh::write_batch(std::span<const La> las,
-                                                 const pcm::LineData& data, pcm::PcmBank& bank) {
-  for (const La la : las) {
-    check(la.value() < cfg_.lines, "MultiWaySecurityRefresh: address out of range");
-  }
-  return batch::run_compressed_batch(
-      *this, las, data, bank, [&](La la, BulkOutcome& out) {
-        const u64 q = la.value() >> region_bits_;
-        const u64 off = la.value() & low_mask(region_bits_);
-        out.total += bank.write(Pa{(q << region_bits_) | regions_[q].translate(off)}, data);
-        ++out.writes_applied;
-        if (++counter_[q] >= effective_interval()) {
-          counter_[q] = 0;
-          out.total += do_step(q, bank, &out.movements);
-        }
-      });
-}
-
-BulkOutcome MultiWaySecurityRefresh::write_cycle(std::span<const La> pattern,
-                                                 const pcm::LineData& data, u64 count,
-                                                 pcm::PcmBank& bank) {
-  BulkOutcome out;
-  if (count == 0) return out;
-  check(!pattern.empty(), "write_cycle: empty pattern with writes requested");
-  for (const La la : pattern) {
-    check(la.value() < cfg_.lines, "MultiWaySecurityRefresh: address out of range");
-  }
-  const u64 period = pattern.size();
-  if (engine_tier() == EngineTier::kReference) {
-    return WearLeveler::write_cycle(pattern, data, count, bank);
-  }
-  if (period > batch::kPatternFallbackFactor * effective_interval()) {
-    if (engine_tier() == EngineTier::kEpoch) {
-      epoch::span_fallback_begin(tel_, tel_id_, 0,
-                                 telemetry::FallbackReason::kNonPeriodicPattern);
-      const BulkOutcome ref = WearLeveler::write_cycle(pattern, data, count, bank);
-      epoch::span_fallback_end(tel_, tel_id_, ref.total.value(),
-                               telemetry::FallbackReason::kNonPeriodicPattern);
-      return ref;
-    }
-    return WearLeveler::write_cycle(pattern, data, count, bank);
-  }
-  // The epoch engine opens with an O(physical lines) uniform-content
-  // scan per call; bursts too short to amortize it (BPA's 256-write
-  // probes) take the windowed engine instead — same outcomes, no scan.
-  if (engine_tier() == EngineTier::kEpoch && count >= physical_lines()) {
-    return write_cycle_epoch(pattern, data, count, bank);
-  }
-  write_cycle_windowed(pattern, data, count, 0, bank, out);
-  return out;
-}
-
-void MultiWaySecurityRefresh::write_cycle_windowed(std::span<const La> pattern,
-                                                   const pcm::LineData& data, u64 count,
-                                                   u64 phase0, pcm::PcmBank& bank,
-                                                   BulkOutcome& out) {
-  const u64 period = pattern.size();
-  // The address-sequence partition is static: region keys never change.
-  std::vector<u64> keys(period);
-  for (u64 i = 0; i < period; ++i) keys[i] = pattern[i].value() >> region_bits_;
-  std::vector<batch::DomainSched> doms;
-  batch::build_domain_scheds(keys, doms);
-  std::vector<Pa> pas;
-  std::vector<Pa> fresh;
-  std::vector<batch::LineSched> lines;
-  bool rebuild = true;
-  u64 phase = phase0;
-  u64 applied = 0;
-  while (applied < count && !bank.has_failure()) {
-    if (rebuild) {
-      fresh.resize(period);
-      for (u64 i = 0; i < period; ++i) {
-        const u64 off = pattern[i].value() & low_mask(region_bits_);
-        fresh[i] = Pa{(keys[i] << region_bits_) | regions_[keys[i]].translate(off)};
-      }
-      if (batch::adopt_if_changed(pas, fresh)) {
-        batch::build_line_scheds(pas, bank, lines);
-      }
-      rebuild = false;
-    }
-    const u64 iv = effective_interval();
-    u64 chunk = count - applied;
-    for (const auto& d : doms) {
-      const u64 deficit = counter_[d.key] >= iv ? 1 : iv - counter_[d.key];
-      chunk = std::min(chunk, d.hits.until_nth(phase, deficit));
-    }
-    chunk = batch::cap_chunk_at_failure(lines, phase, chunk);
-    out.total += batch::apply_chunk(lines, data, phase, chunk, bank, tel_, tel_id_,
-                                    out.total.value());
-    applied += chunk;
-    const u64 chunk_phase = phase;
-    for (const auto& d : doms) counter_[d.key] += d.hits.hits_in(phase, chunk);
-    phase = (phase + chunk) % period;
-    // A region whose counter sits past a shrunken ψ but took no write in
-    // this chunk must wait for its next write, like the per-write path.
-    for (const auto& d : doms) {
-      if (counter_[d.key] >= iv && d.hits.hits_in(chunk_phase, chunk) > 0) {
-        counter_[d.key] = 0;
-        const u64 before = out.movements;
-        out.total += do_step(d.key, bank, &out.movements);
-        if (out.movements != before) rebuild = true;  // skipped steps move nothing
-      }
-    }
-  }
-  out.writes_applied += applied;
-}
-
-BulkOutcome MultiWaySecurityRefresh::write_cycle_epoch(std::span<const La> pattern,
-                                                       const pcm::LineData& data, u64 count,
-                                                       pcm::PcmBank& bank) {
-  BulkOutcome out;
-  const u64 period = pattern.size();
+EpochPlan MultiWaySecurityRefresh::epoch_plan(const batch::Window& w, u64 remaining) const {
+  const u64 iv = effective_interval();
   const u64 rl = cfg_.region_lines();
   const u64 omask = low_mask(region_bits_);
-
-  // Static partition: keys and domains never change; only the per-region
-  // SR mappings (and thus the PAs) move.
-  std::vector<u64> keys(period);
-  for (u64 i = 0; i < period; ++i) keys[i] = pattern[i].value() >> region_bits_;
-  std::vector<batch::DomainSched> doms;
-  batch::build_domain_scheds(keys, doms);
-  std::vector<Pa> pas;
-  std::vector<Pa> fresh;
-  std::vector<batch::LineSched> lines;
-  std::vector<u64> slots;
-  std::vector<u64> next_slots;
-  bool rebuild = true;
-  u64 phase = 0;
-
-  epoch::HeadroomBudget budget;
-  pcm::LineData uniform{};
-  bool scanned = false;
-
-  const auto windowed_tail = [&](telemetry::FallbackReason reason) {
-    epoch::span_fallback_begin(tel_, tel_id_, out.total.value(), reason);
-    write_cycle_windowed(pattern, data, count - out.writes_applied, phase, bank, out);
-    epoch::span_fallback_end(tel_, tel_id_, out.total.value(), reason);
-  };
-
-  while (out.writes_applied < count && !bank.has_failure()) {
-    if (rebuild) {
-      fresh.resize(period);
-      for (u64 i = 0; i < period; ++i) {
-        const u64 off = pattern[i].value() & omask;
-        fresh[i] = Pa{(keys[i] << region_bits_) | regions_[keys[i]].translate(off)};
-      }
-      if (batch::adopt_if_changed(pas, fresh)) {
-        batch::build_line_scheds(pas, bank, lines);
-        next_slots.clear();
-        for (const auto& ls : lines) next_slots.push_back(ls.pa.value());
-        std::sort(next_slots.begin(), next_slots.end());
-        // A slot leaving the pattern set re-joins the movement set
-        // carrying pattern-scale wear; fold its headroom into the budget.
-        if (scanned) {
-          for (const u64 s : slots) {
-            if (std::binary_search(next_slots.begin(), next_slots.end(), s)) continue;
-            const u64 limit = bank.line_endurance(Pa{s});
-            const u64 w = bank.wear(Pa{s});
-            const u64 h = limit > w ? limit - w : 0;
-            if (h < budget.remaining()) budget.seed(h);
-          }
-        }
-        slots.swap(next_slots);
-      }
-      rebuild = false;
-    }
-    if (!scanned) {
-      const epoch::ScanResult scan = epoch::scan_uniform(bank, cfg_.lines, slots);
-      if (!scan.uniform) {
-        windowed_tail(telemetry::FallbackReason::kNonUniformContent);
-        return out;
-      }
-      uniform = scan.content;
-      budget.seed(scan.min_headroom);
-      epoch::emit_projection(tel_, tel_id_, telemetry::kGlobalDomain, out.total.value(),
-                             count - out.writes_applied, telemetry::FallbackReason::kNone);
-      scanned = true;
-    }
-    const u64 iv = effective_interval();
-    bool overrun = false;  // interval shrank below a carried counter
-    for (const auto& d : doms) overrun = overrun || counter_[d.key] >= iv;
-    if (overrun) {
-      windowed_tail(telemetry::FallbackReason::kPsiChange);
-      return out;
-    }
-    const u64 remaining = count - out.writes_applied;
-
-    // Next replayed trigger, as a 1-based write index: per region, the
-    // first CRP candidate whose swap touches a pattern slot in it, or the
-    // round end (rekey), whichever is closer.
-    u64 boundary = batch::kUnbounded;
-    for (const auto& d : doms) {
-      const auto& reg = regions_[d.key];
-      const u64 crp = reg.crp();
-      u64 js = 0;
-      if (crp < rl) {
-        js = rl - crp;
-        for (u64 i = 0; i < period; ++i) {
-          if (keys[i] != d.key) continue;
-          const u64 t = reg.next_touch(pas[i].value() & omask);
-          if (t < rl) js = std::min(js, t - crp);
-        }
-      }
-      const u64 at = d.hits.until_nth(phase, (iv - counter_[d.key]) + js * iv);
-      boundary = std::min(boundary, at);
-    }
-    const bool replay = boundary <= remaining;
-    // The jump covers the boundary write itself (the trigger fires after
-    // the write, under the pre-trigger mapping); it alone replays live.
-    const u64 jump = std::min(remaining, boundary);
-
-    // Endurance cap over the pattern lines → windowed tail (exact).
-    u64 lfail = batch::kUnbounded;
-    for (const auto& ls : lines) {
-      lfail = std::min(lfail, ls.hits.until_nth(phase, ls.remaining));
-    }
-    if (lfail <= jump) {
-      windowed_tail(telemetry::FallbackReason::kNearFailure);
-      return out;
-    }
-    // Movement-slot wear: aggregated sweeps stay inside one round per
-    // region (one endpoint per slot); the replayed boundary step can open
-    // a new round and re-touch a swept slot, costing one more.
-    if (!budget.spend(2)) {
-      const epoch::ScanResult scan = epoch::scan_uniform(bank, cfg_.lines, slots);
-      if (!scan.uniform || !(budget.seed(scan.min_headroom), budget.spend(2))) {
-        // genuinely near a movement-slot failure
-        windowed_tail(telemetry::FallbackReason::kNearFailure);
-        return out;
-      }
-      uniform = scan.content;
-      epoch::emit_projection(tel_, tel_id_, telemetry::kGlobalDomain, out.total.value(),
-                             count - out.writes_applied, telemetry::FallbackReason::kNone);
-    }
-
-    const u64 jump_t0 = out.total.value();
-    // Pattern wear/data: one failure-checked bulk write per distinct PA.
-    for (auto& ls : lines) {
-      const u64 h = ls.hits.hits_in(phase, jump);
-      if (h == 0) continue;
-      out.total += bank.bulk_write(ls.pa, data, h);
-      ls.remaining -= h;
-    }
-
-    // The binding region's trigger at the boundary write replays live;
-    // every earlier trigger aggregates (its swap provably avoids pattern
-    // slots, so it is a wear-only data no-op under uniform content).
-    u64 q_b = batch::kNoDomain;
-    if (replay) q_b = keys[(phase + boundary - 1) % period];
-    u64 agg = 0;
-    u64 fired = 0;
-    const std::span<u64> wear = bank.wear_mut();
-    for (const auto& d : doms) {
-      const u64 h = d.hits.hits_in(phase, jump);
-      u64 n = (counter_[d.key] + h) / iv;
-      counter_[d.key] = (counter_[d.key] + h) % iv;
-      if (replay && d.key == q_b) --n;
-      if (n > 0) {
-        const u64 base = d.key << region_bits_;
-        fired += regions_[d.key].advance_steps(
-            n, [&wear, base](u64 a, u64 b) { ++wear[base | a], ++wear[base | b]; });
-        agg += n;
+  // Next replayed trigger, as a 1-based write index: per region, the
+  // first CRP candidate whose swap touches a pattern slot in it, or the
+  // round end (rekey), whichever is closer.
+  u64 boundary = batch::kUnbounded;
+  for (const auto& d : w.doms) {
+    const auto& reg = regions_[d.key];
+    const u64 crp = reg.crp();
+    u64 js = 0;
+    if (crp < rl) {
+      js = rl - crp;
+      for (u64 i = 0; i < w.keys.size(); ++i) {
+        if (w.keys[i] != d.key) continue;
+        const u64 t = reg.next_touch(w.pas[i].value() & omask);
+        if (t < rl) js = std::min(js, t - crp);
       }
     }
-    if (fired > 0) {
-      bank.note_writes_unchecked(2 * fired);
-      out.total += pcm::swap_latency(bank.config(), uniform.cls, uniform.cls) * fired;
-      out.movements += fired;
-    }
-    out.writes_applied += jump;
-    phase = (phase + jump) % period;
-    epoch::emit_jump(tel_, tel_id_, telemetry::kGlobalDomain, jump, agg + (replay ? 1 : 0),
-                     jump_t0, out.total.value());
-    if (replay) {
-      counter_[q_b] = 0;
-      const u64 before = out.movements;
-      out.total += do_step(q_b, bank, &out.movements);
-      if (out.movements != before) rebuild = true;  // skipped steps move nothing
-    }
+    boundary = std::min(boundary, d.hits.until_nth(w.phase, (iv - counter_[d.key]) + js * iv));
   }
-  return out;
+  // Movement-slot wear: aggregated sweeps stay inside one round per
+  // region (one endpoint per slot); the replayed boundary step can open
+  // a new round and re-touch a swept slot, costing one more.
+  if (boundary > remaining) return {.jump = remaining, .cost = 2};
+  // The jump covers the boundary write itself (the trigger fires after
+  // the write, under the pre-trigger mapping); it alone replays live.
+  const u64 live = w.keys[(w.phase + boundary - 1) % w.keys.size()];
+  return {.jump = boundary, .cost = 2, .live_dom = live};
 }
 
-BulkOutcome MultiWaySecurityRefresh::write_repeated(La la, const pcm::LineData& data, u64 count,
-                                                    pcm::PcmBank& bank) {
-  BulkOutcome out;
-  const u64 q = la.value() >> region_bits_;
-  while (out.writes_applied < count && !bank.has_failure()) {
-    const u64 iv = effective_interval();
-    const u64 until = counter_[q] >= iv ? 1 : iv - counter_[q];
-    const u64 chunk = std::min(count - out.writes_applied, until);
-    out.total += bank.bulk_write(translate(la), data, chunk);
-    out.writes_applied += chunk;
-    counter_[q] += chunk;
-    if (counter_[q] >= iv && !bank.has_failure()) {
-      counter_[q] = 0;
-      out.total += do_step(q, bank, &out.movements);
-    }
+FoldResult MultiWaySecurityRefresh::epoch_fold(const EpochPlan& p, const batch::Window& w,
+                                               u64 /*done*/, u64 jump,
+                                               const pcm::LineData& uniform, pcm::PcmBank& bank,
+                                               BulkOutcome& out) {
+  const u64 iv = effective_interval();
+  // Every trigger but the live one aggregates: its swap provably avoids
+  // pattern slots, so it is a wear-only data no-op under uniform content.
+  FoldResult f;
+  u64 fired = 0;
+  const std::span<u64> wear = bank.wear_mut();
+  for (const auto& d : w.doms) {
+    const u64 c = counter_[d.key] + d.hits.hits_in(w.phase, jump);
+    const u64 n = c / iv - u64{d.key == p.live_dom};
+    counter_[d.key] = c - n * iv;
+    if (n == 0) continue;
+    const u64 base = d.key << region_bits_;
+    fired += regions_[d.key].advance_steps(
+        n, [&wear, base](u64 a, u64 b) { ++wear[base | a], ++wear[base | b]; });
+    f.steps += n;
   }
-  return out;
+  if (fired > 0) {
+    bank.note_writes_unchecked(2 * fired);
+    out.total += pcm::swap_latency(bank.config(), uniform.cls, uniform.cls) * fired;
+    out.movements += fired;
+  }
+  return f;
 }
 
 }  // namespace srbsg::wl

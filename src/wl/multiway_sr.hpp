@@ -7,9 +7,10 @@
 
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/check.hpp"
+#include "wl/engine.hpp"
 #include "wl/security_refresh_region.hpp"
-#include "wl/wear_leveler.hpp"
 
 namespace srbsg::wl {
 
@@ -23,22 +24,13 @@ struct MultiWaySrConfig {
   [[nodiscard]] u64 region_lines() const { return lines / regions; }
 };
 
-class MultiWaySecurityRefresh final : public WearLeveler {
+class MultiWaySecurityRefresh final : public BulkEngine<MultiWaySecurityRefresh> {
  public:
   explicit MultiWaySecurityRefresh(const MultiWaySrConfig& cfg);
 
   [[nodiscard]] std::string_view name() const override { return "mwsr"; }
   [[nodiscard]] u64 logical_lines() const override { return cfg_.lines; }
   [[nodiscard]] u64 physical_lines() const override { return cfg_.lines; }
-  [[nodiscard]] Pa translate(La la) const override;
-
-  WriteOutcome write(La la, const pcm::LineData& data, pcm::PcmBank& bank) override;
-  BulkOutcome write_repeated(La la, const pcm::LineData& data, u64 count,
-                             pcm::PcmBank& bank) override;
-  BulkOutcome write_batch(std::span<const La> las, const pcm::LineData& data,
-                          pcm::PcmBank& bank) override;
-  BulkOutcome write_cycle(std::span<const La> pattern, const pcm::LineData& data, u64 count,
-                          pcm::PcmBank& bank) override;
 
   [[nodiscard]] const MultiWaySrConfig& config() const { return cfg_; }
 
@@ -46,31 +38,34 @@ class MultiWaySecurityRefresh final : public WearLeveler {
   /// SR movements are swaps: two line writes each.
   [[nodiscard]] u32 writes_per_movement() const override { return 2; }
 
-  void set_rate_boost(u32 log2_divisor) override {
-    check_lt(log2_divisor, u32{64}, "set_rate_boost: boost shifts past the interval width");
-    boost_ = log2_divisor;
-  }
-  [[nodiscard]] u64 effective_interval() const {
-    const u64 iv = cfg_.interval >> boost_;
-    return iv == 0 ? 1 : iv;
-  }
+  [[nodiscard]] u64 effective_interval() const { return boosted(cfg_.interval); }
 
  private:
-  Ns do_step(u64 q, pcm::PcmBank& bank, u64* movements);
-  /// PR-4 windowed engine, entered at cycle offset `phase0`; accumulates
-  /// into `out`.
-  void write_cycle_windowed(std::span<const La> pattern, const pcm::LineData& data, u64 count,
-                            u64 phase0, pcm::PcmBank& bank, BulkOutcome& out);
-  /// Epoch fast-forward engine (DESIGN.md §15): per-region aggregated SR
-  /// sweeps between replayed pattern-touching/rekey steps.
-  BulkOutcome write_cycle_epoch(std::span<const La> pattern, const pcm::LineData& data,
-                                u64 count, pcm::PcmBank& bank);
+  friend class BulkEngine<MultiWaySecurityRefresh>;
+
+  // Remapping rule (wl/engine.hpp): the high LA bits pick a sub-region,
+  // whose counter advances its own SR every ψ writes.
+  static constexpr bool kDomainCounters = true;
+  static constexpr Fold kFold = Fold::kUniform;
+  [[nodiscard]] Loc locate(u64 la) const {
+    const u64 q = la >> region_bits_;
+    return {Pa{(q << region_bits_) | regions_[q].translate(la & low_mask(region_bits_))}, q};
+  }
+  [[nodiscard]] u64& domain_counter(u64 q) { return counter_[q]; }
+  [[nodiscard]] u64 domain_interval() const { return effective_interval(); }
+  /// One CRP step of sub-region `q`; returns the swap latency (0 when
+  /// skipped).
+  Ns fire_domain(u64 q, pcm::PcmBank& bank, u64& moved);
+  /// Epoch fold: per-region aggregated SR sweeps between replayed
+  /// pattern-touching/rekey steps.
+  [[nodiscard]] EpochPlan epoch_plan(const batch::Window& w, u64 remaining) const;
+  FoldResult epoch_fold(const EpochPlan& p, const batch::Window& w, u64 done, u64 jump,
+                        const pcm::LineData& uniform, pcm::PcmBank& bank, BulkOutcome& out);
 
   MultiWaySrConfig cfg_;
   u32 region_bits_;
   std::vector<SecurityRefreshRegion> regions_;
   std::vector<u64> counter_;
-  u32 boost_{0};
 };
 
 }  // namespace srbsg::wl

@@ -1,75 +1,11 @@
 #include "wl/no_wl.hpp"
 
-#include <vector>
-
 #include "common/check.hpp"
-#include "wl/batch.hpp"
 
 namespace srbsg::wl {
 
 NoWearLeveling::NoWearLeveling(u64 lines) : lines_(lines) {
   check(lines >= 1, "NoWearLeveling: need at least one line");
-}
-
-Pa NoWearLeveling::translate(La la) const {
-  check(la.value() < lines_, "NoWearLeveling: address out of range");
-  return Pa{la.value()};
-}
-
-WriteOutcome NoWearLeveling::write(La la, const pcm::LineData& data, pcm::PcmBank& bank) {
-  const Ns lat = bank.write(translate(la), data);
-  return WriteOutcome{lat, Ns{0}, 0};
-}
-
-BulkOutcome NoWearLeveling::write_repeated(La la, const pcm::LineData& data, u64 count,
-                                           pcm::PcmBank& bank) {
-  BulkOutcome out;
-  if (count == 0 || bank.has_failure()) return out;
-  out.total = bank.bulk_write(translate(la), data, count);
-  out.writes_applied = count;
-  return out;
-}
-
-BulkOutcome NoWearLeveling::write_batch(std::span<const La> las, const pcm::LineData& data,
-                                        pcm::PcmBank& bank) {
-  for (const La la : las) {
-    check(la.value() < lines_, "NoWearLeveling: address out of range");
-  }
-  return batch::run_compressed_batch(*this, las, data, bank, [&](La la, BulkOutcome& out) {
-    out.total += bank.write(Pa{la.value()}, data);
-    ++out.writes_applied;
-  });
-}
-
-BulkOutcome NoWearLeveling::write_cycle(std::span<const La> pattern, const pcm::LineData& data,
-                                        u64 count, pcm::PcmBank& bank) {
-  BulkOutcome out;
-  if (count == 0) return out;
-  check(!pattern.empty(), "write_cycle: empty pattern with writes requested");
-  if (engine_tier() == EngineTier::kReference) {
-    return WearLeveler::write_cycle(pattern, data, count, bank);
-  }
-  std::vector<Pa> pas;
-  pas.reserve(pattern.size());
-  for (const La la : pattern) {
-    check(la.value() < lines_, "NoWearLeveling: address out of range");
-    pas.push_back(Pa{la.value()});
-  }
-  // No remap triggers: a single window runs to completion or stops at the
-  // exact write that records the failure.
-  std::vector<batch::LineSched> lines;
-  batch::build_line_scheds(pas, bank, lines);
-  const u64 period = pattern.size();
-  u64 phase = 0;
-  while (out.writes_applied < count && !bank.has_failure()) {
-    const u64 chunk =
-        batch::cap_chunk_at_failure(lines, phase, count - out.writes_applied);
-    out.total += batch::apply_chunk(lines, data, phase, chunk, bank, tel_, tel_id_,
-                                    out.total.value());
-    out.writes_applied += chunk;
-    phase = (phase + chunk) % period;
-  }
-  return out;
 }
 
 }  // namespace srbsg::wl

@@ -6,8 +6,6 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "telemetry/telemetry.hpp"
-#include "wl/batch.hpp"
-#include "wl/epoch.hpp"
 #include "mapping/binary_matrix.hpp"
 #include "mapping/feistel.hpp"
 #include "mapping/quality.hpp"
@@ -45,16 +43,7 @@ u64 RegionStartGap::randomize(u64 la) const { return mapper_ ? mapper_->map(la) 
 
 u64 RegionStartGap::derandomize(u64 ia) const { return mapper_ ? mapper_->unmap(ia) : ia; }
 
-Pa RegionStartGap::translate(La la) const {
-  check(la.value() < cfg_.lines, "RegionStartGap: address out of range");
-  const u64 ia = randomize(la.value());
-  const u64 m = cfg_.region_lines();
-  const u64 q = ia / m;
-  const u64 off = ia % m;
-  return Pa{region_base(q) + sg_[q].translate(off)};
-}
-
-Ns RegionStartGap::do_movement(u64 q, pcm::PcmBank& bank) {
+Ns RegionStartGap::fire_domain(u64 q, pcm::PcmBank& bank, u64& moved) {
   if (tel_ != nullptr) {
     tel_->emit(telemetry::EventType::kRemapTriggered, tel_id_, checked_narrow<u32>(q),
                telemetry::kLevelInner, 0);
@@ -66,350 +55,62 @@ Ns RegionStartGap::do_movement(u64 q, pcm::PcmBank& bank) {
     tel_->emit(telemetry::EventType::kGapMoved, tel_id_, checked_narrow<u32>(q), from.value(),
                to.value());
   }
+  ++moved;
   return bank.move_line(from, to);
 }
 
-WriteOutcome RegionStartGap::write(La la, const pcm::LineData& data, pcm::PcmBank& bank) {
-  const u64 ia = randomize(la.value());
-  const u64 q = ia / cfg_.region_lines();
-  WriteOutcome out;
-  out.total = bank.write(translate(la), data);
-  if (++counter_[q] >= effective_interval()) {
-    counter_[q] = 0;
-    out.stall = do_movement(q, bank);
-    out.movements = 1;
-    out.total += out.stall;
-  }
-  return out;
-}
-
-BulkOutcome RegionStartGap::write_repeated(La la, const pcm::LineData& data, u64 count,
-                                           pcm::PcmBank& bank) {
-  BulkOutcome out;
-  const u64 ia = randomize(la.value());
+EpochPlan RegionStartGap::epoch_plan(const batch::Window& w, u64 remaining) const {
+  const u64 iv = effective_interval();
   const u64 m = cfg_.region_lines();
-  const u64 q = ia / m;
-  const u64 off = ia % m;
-  while (out.writes_applied < count && !bank.has_failure()) {
-    const u64 iv = effective_interval();
-    const u64 until = counter_[q] >= iv ? 1 : iv - counter_[q];
-    const u64 chunk = std::min(count - out.writes_applied, until);
-    const Pa pa{region_base(q) + sg_[q].translate(off)};
-    out.total += bank.bulk_write(pa, data, chunk);
-    out.writes_applied += chunk;
-    counter_[q] += chunk;
-    if (counter_[q] >= iv && !bank.has_failure()) {
-      counter_[q] = 0;
-      out.total += do_movement(q, bank);
-      ++out.movements;
+  // Per pattern region: movements aggregatable before one would touch a
+  // pattern slot (from == pattern slot, i.e. the gap reaches slot+1) or
+  // wrap the rotation; then the write index of that boundary movement,
+  // whose trigger replays live.
+  EpochPlan p{.jump = remaining, .cost = 1};
+  for (const auto& d : w.doms) {
+    const u64 base = region_base(d.key);
+    const u64 gap = sg_[d.key].gap();
+    u64 safe = gap;  // gap movements until the wrap movement
+    for (const auto& ls : w.lines) {
+      if (ls.pa.value() < base || ls.pa.value() >= base + m + 1) continue;
+      const u64 slot = ls.pa.value() - base;
+      if (slot < gap) safe = std::min(safe, gap - slot - 1);
+    }
+    const u64 at = d.hits.until_nth(w.phase, (iv - counter_[d.key]) + safe * iv);
+    if (at <= p.jump) {
+      p.jump = at;
+      p.live_dom = d.key;
     }
   }
-  return out;
+  // Aggregated movements wear each movement slot at most once per jump
+  // (each region's targets are one contiguous descending range): one
+  // budget unit.
+  return p;
 }
 
-BulkOutcome RegionStartGap::write_batch(std::span<const La> las, const pcm::LineData& data,
-                                        pcm::PcmBank& bank) {
-  for (const La la : las) {
-    check(la.value() < cfg_.lines, "RegionStartGap: address out of range");
+FoldResult RegionStartGap::epoch_fold(const EpochPlan& p, const batch::Window& w, u64 /*done*/,
+                                      u64 jump, const pcm::LineData& uniform,
+                                      pcm::PcmBank& bank, BulkOutcome& out) {
+  const u64 iv = effective_interval();
+  // Aggregated gap movements per region: a contiguous wear range below
+  // the gap; only the old gap slot changes content (it receives its
+  // lower neighbour's line — `uniform`, like every slot in the range).
+  FoldResult f;
+  for (const auto& d : w.doms) {
+    const u64 c = counter_[d.key] + d.hits.hits_in(w.phase, jump);
+    const u64 moves = c / iv - u64{d.key == p.live_dom};
+    counter_[d.key] = c - moves * iv;
+    if (moves == 0) continue;
+    const u64 base = region_base(d.key);
+    const u64 gap = sg_[d.key].gap();
+    bank.add_wear_range_unchecked(Pa{base + gap - moves + 1}, moves, 1);
+    bank.poke_data(Pa{base + gap}, uniform);
+    sg_[d.key].retreat_gap(moves);
+    out.total += pcm::move_latency(bank.config(), uniform.cls) * moves;
+    out.movements += moves;
+    f.steps += moves;
   }
-  if (engine_tier() == EngineTier::kReference) {
-    return WearLeveler::write_batch(las, data, bank);
-  }
-  const u64 m = cfg_.region_lines();
-  return batch::run_compressed_batch(
-      *this, las, data, bank, [&](La la, BulkOutcome& out) {
-        // write() body with the randomizer drawn once (write() pays a
-        // second draw inside translate()).
-        const u64 ia = randomize(la.value());
-        const u64 q = ia / m;
-        out.total += bank.write(Pa{region_base(q) + sg_[q].translate(ia % m)}, data);
-        ++out.writes_applied;
-        if (++counter_[q] >= effective_interval()) {
-          counter_[q] = 0;
-          out.total += do_movement(q, bank);
-          ++out.movements;
-        }
-      });
-}
-
-BulkOutcome RegionStartGap::write_cycle(std::span<const La> pattern, const pcm::LineData& data,
-                                        u64 count, pcm::PcmBank& bank) {
-  BulkOutcome out;
-  if (count == 0) return out;
-  check(!pattern.empty(), "write_cycle: empty pattern with writes requested");
-  for (const La la : pattern) {
-    check(la.value() < cfg_.lines, "RegionStartGap: address out of range");
-  }
-  if (engine_tier() == EngineTier::kReference) {
-    return WearLeveler::write_cycle(pattern, data, count, bank);
-  }
-  if (pattern.size() > batch::kPatternFallbackFactor * effective_interval()) {
-    if (engine_tier() == EngineTier::kEpoch) {
-      epoch::span_fallback_begin(tel_, tel_id_, 0,
-                                 telemetry::FallbackReason::kNonPeriodicPattern);
-      const BulkOutcome ref = WearLeveler::write_cycle(pattern, data, count, bank);
-      epoch::span_fallback_end(tel_, tel_id_, ref.total.value(),
-                               telemetry::FallbackReason::kNonPeriodicPattern);
-      return ref;
-    }
-    return WearLeveler::write_cycle(pattern, data, count, bank);
-  }
-  // The epoch engine opens with an O(physical lines) uniform-content
-  // scan per call; bursts too short to amortize it (BPA's 256-write
-  // probes) take the windowed engine instead — same outcomes, no scan.
-  if (engine_tier() == EngineTier::kEpoch && count >= physical_lines()) {
-    return write_cycle_epoch(pattern, data, count, bank);
-  }
-  write_cycle_windowed(pattern, data, count, 0, bank, out);
-  return out;
-}
-
-void RegionStartGap::write_cycle_windowed(std::span<const La> pattern,
-                                          const pcm::LineData& data, u64 count, u64 phase0,
-                                          pcm::PcmBank& bank, BulkOutcome& out) {
-  const u64 period = pattern.size();
-  const u64 m = cfg_.region_lines();
-  // The randomizer is static: IAs and region keys are fixed for the call.
-  std::vector<u64> ias(period);
-  std::vector<u64> keys(period);
-  for (u64 i = 0; i < period; ++i) {
-    ias[i] = randomize(pattern[i].value());
-    keys[i] = ias[i] / m;
-  }
-  std::vector<batch::DomainSched> doms;
-  batch::build_domain_scheds(keys, doms);
-  std::vector<Pa> pas;
-  std::vector<Pa> fresh;
-  std::vector<batch::LineSched> lines;
-  bool rebuild = true;
-  u64 phase = phase0;
-  u64 applied = 0;
-  while (applied < count && !bank.has_failure()) {
-    if (rebuild) {
-      fresh.resize(period);
-      for (u64 i = 0; i < period; ++i) {
-        fresh[i] = Pa{region_base(keys[i]) + sg_[keys[i]].translate(ias[i] % m)};
-      }
-      if (batch::adopt_if_changed(pas, fresh)) {
-        batch::build_line_scheds(pas, bank, lines);
-      }
-      rebuild = false;
-    }
-    const u64 iv = effective_interval();
-    u64 chunk = count - applied;
-    for (const auto& d : doms) {
-      const u64 deficit = counter_[d.key] >= iv ? 1 : iv - counter_[d.key];
-      chunk = std::min(chunk, d.hits.until_nth(phase, deficit));
-    }
-    chunk = batch::cap_chunk_at_failure(lines, phase, chunk);
-    out.total += batch::apply_chunk(lines, data, phase, chunk, bank, tel_, tel_id_,
-                                    out.total.value());
-    applied += chunk;
-    const u64 chunk_phase = phase;
-    for (const auto& d : doms) counter_[d.key] += d.hits.hits_in(phase, chunk);
-    phase = (phase + chunk) % period;
-    // At most one region reaches ψ *through a write in this chunk* — the
-    // chunk's last write belongs to a single region. Fire it even when
-    // that write recorded the failure, exactly as write() would. A region
-    // whose counter already sits past a shrunken ψ (detector boost raised
-    // mid-stream) but that received no write here must wait for its next
-    // write, like the per-write path.
-    for (const auto& d : doms) {
-      if (counter_[d.key] >= iv && d.hits.hits_in(chunk_phase, chunk) > 0) {
-        counter_[d.key] = 0;
-        out.total += do_movement(d.key, bank);
-        ++out.movements;
-        rebuild = true;
-      }
-    }
-  }
-  out.writes_applied += applied;
-}
-
-BulkOutcome RegionStartGap::write_cycle_epoch(std::span<const La> pattern,
-                                              const pcm::LineData& data, u64 count,
-                                              pcm::PcmBank& bank) {
-  BulkOutcome out;
-  const u64 period = pattern.size();
-  const u64 m = cfg_.region_lines();
-  std::vector<u64> ias(period);
-  std::vector<u64> keys(period);
-  for (u64 i = 0; i < period; ++i) {
-    ias[i] = randomize(pattern[i].value());
-    keys[i] = ias[i] / m;
-  }
-  std::vector<batch::DomainSched> doms;
-  batch::build_domain_scheds(keys, doms);
-
-  // Pattern mapping + schedules, rebuilt after every replayed movement.
-  // `slots` additionally excludes each pattern region's gap slot, whose
-  // content is stale by construction.
-  std::vector<Pa> pas;
-  std::vector<Pa> fresh;
-  std::vector<batch::LineSched> lines;
-  std::vector<u64> slots;
-  bool rebuild = true;
-  u64 phase = 0;
-
-  epoch::HeadroomBudget budget;
-  pcm::LineData uniform{};
-  bool scanned = false;
-
-  const auto windowed_tail = [&](telemetry::FallbackReason reason) {
-    epoch::span_fallback_begin(tel_, tel_id_, out.total.value(), reason);
-    write_cycle_windowed(pattern, data, count - out.writes_applied, phase, bank, out);
-    epoch::span_fallback_end(tel_, tel_id_, out.total.value(), reason);
-  };
-  const auto slot_headroom = [&bank](u64 s) {
-    const u64 limit = bank.line_endurance(Pa{s});
-    const u64 w = bank.wear(Pa{s});
-    return limit > w ? limit - w : 0;
-  };
-  const auto fold_headroom = [&](u64 s) {
-    const u64 h = slot_headroom(s);
-    if (h < budget.remaining()) budget.seed(h);
-  };
-  // Current scan exclusions: pattern slots plus each pattern region's gap
-  // slot (stale content). Gap headroom is folded into the budget
-  // separately — gap slots do receive aggregated movement writes.
-  const auto recompute_slots = [&] {
-    slots.clear();
-    for (const auto& ls : lines) slots.push_back(ls.pa.value());
-    for (const auto& d : doms) slots.push_back(region_base(d.key) + sg_[d.key].gap());
-    std::sort(slots.begin(), slots.end());
-    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-  };
-  const auto rescan = [&] {
-    recompute_slots();
-    const epoch::ScanResult scan = epoch::scan_uniform(bank, physical_lines(), slots);
-    if (!scan.uniform) return false;
-    uniform = scan.content;
-    budget.seed(scan.min_headroom);
-    for (const auto& d : doms) fold_headroom(region_base(d.key) + sg_[d.key].gap());
-    epoch::emit_projection(tel_, tel_id_, telemetry::kGlobalDomain, out.total.value(),
-                           count - out.writes_applied, telemetry::FallbackReason::kNone);
-    return true;
-  };
-
-  while (out.writes_applied < count && !bank.has_failure()) {
-    if (rebuild) {
-      fresh.resize(period);
-      for (u64 i = 0; i < period; ++i) {
-        fresh[i] = Pa{region_base(keys[i]) + sg_[keys[i]].translate(ias[i] % m)};
-      }
-      if (batch::adopt_if_changed(pas, fresh)) {
-        batch::build_line_scheds(pas, bank, lines);
-        if (scanned) {
-          // Slots leaving the excluded set re-join the movement set with
-          // their accumulated wear; fold their headroom into the budget.
-          // New exclusions (fresh pattern slots, moved gaps) only shrink
-          // the scanned set, which is always safe.
-          std::vector<u64> prev;
-          prev.swap(slots);
-          recompute_slots();
-          for (const u64 s : prev) {
-            if (!std::binary_search(slots.begin(), slots.end(), s)) fold_headroom(s);
-          }
-          for (const auto& d : doms) fold_headroom(region_base(d.key) + sg_[d.key].gap());
-        }
-      }
-      rebuild = false;
-    }
-    if (!scanned) {
-      if (!rescan()) {
-        windowed_tail(telemetry::FallbackReason::kNonUniformContent);
-        return out;
-      }
-      scanned = true;
-    }
-    const u64 iv = effective_interval();
-    bool overrun = false;
-    for (const auto& d : doms) overrun = overrun || counter_[d.key] >= iv;
-    if (overrun) {  // interval shrank below a carried counter
-      windowed_tail(telemetry::FallbackReason::kPsiChange);
-      return out;
-    }
-    const u64 remaining = count - out.writes_applied;
-
-    // Per pattern region: movements aggregatable before one would touch a
-    // pattern slot (from == pattern slot, i.e. the gap reaches slot+1) or
-    // wrap the rotation; then the write index of that boundary movement.
-    u64 jump = remaining;
-    const batch::DomainSched* replay_dom = nullptr;
-    for (const auto& d : doms) {
-      const u64 gap = sg_[d.key].gap();
-      u64 safe = gap;  // gap movements until the wrap movement
-      for (const auto& ls : lines) {
-        const u64 base = region_base(d.key);
-        if (ls.pa.value() < base || ls.pa.value() >= base + m + 1) continue;
-        const u64 slot = ls.pa.value() - base;
-        if (slot < gap) safe = std::min(safe, gap - slot - 1);
-      }
-      const u64 need = (iv - counter_[d.key]) + safe * iv;
-      const u64 at = d.hits.until_nth(phase, need);
-      if (at <= jump) {
-        jump = at;
-        replay_dom = &d;
-      }
-    }
-
-    // Endurance cap over the pattern lines → windowed tail (exact).
-    u64 lfail = batch::kUnbounded;
-    for (const auto& ls : lines) {
-      lfail = std::min(lfail, ls.hits.until_nth(phase, ls.remaining));
-    }
-    if (lfail <= jump) {
-      windowed_tail(telemetry::FallbackReason::kNearFailure);
-      return out;
-    }
-    // Aggregated movements wear each movement slot at most once per jump
-    // (each region's targets are one contiguous descending range).
-    if (!budget.spend(1)) {
-      if (!rescan() || !budget.spend(1)) {
-        // genuinely near a movement-slot failure
-        windowed_tail(telemetry::FallbackReason::kNearFailure);
-        return out;
-      }
-    }
-
-    const u64 jump_t0 = out.total.value();
-    // Pattern wear/data: one failure-checked bulk write per distinct PA.
-    for (auto& ls : lines) {
-      const u64 h = ls.hits.hits_in(phase, jump);
-      if (h == 0) continue;
-      out.total += bank.bulk_write(ls.pa, data, h);
-      ls.remaining -= h;
-    }
-    // Aggregated gap movements per region: a contiguous wear range below
-    // the gap; only the old gap slot changes content (it receives its
-    // lower neighbour's line — `uniform`, like every slot in the range).
-    u64 steps = 0;
-    for (const auto& d : doms) {
-      const u64 hits = d.hits.hits_in(phase, jump);
-      u64 moves = (counter_[d.key] + hits) / iv;
-      counter_[d.key] = (counter_[d.key] + hits) % iv;
-      if (replay_dom == &d) --moves;  // the boundary movement replays below
-      if (moves == 0) continue;
-      const u64 gap = sg_[d.key].gap();
-      bank.add_wear_range_unchecked(Pa{region_base(d.key) + gap - moves + 1}, moves, 1);
-      bank.poke_data(Pa{region_base(d.key) + gap}, uniform);
-      sg_[d.key].retreat_gap(moves);
-      out.total += pcm::move_latency(bank.config(), uniform.cls) * moves;
-      out.movements += moves;
-      steps += moves;
-    }
-    out.writes_applied += jump;
-    phase = (phase + jump) % period;
-    epoch::emit_jump(tel_, tel_id_, telemetry::kGlobalDomain, jump,
-                     steps + (replay_dom != nullptr ? 1 : 0), jump_t0, out.total.value());
-    if (replay_dom != nullptr) {
-      counter_[replay_dom->key] = 0;
-      out.total += do_movement(replay_dom->key, bank);
-      ++out.movements;
-      rebuild = true;
-    }
-  }
-  return out;
+  return f;
 }
 
 void RegionStartGap::validate_state() const {

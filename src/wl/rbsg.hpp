@@ -15,8 +15,8 @@
 
 #include "common/check.hpp"
 #include "mapping/mapper.hpp"
+#include "wl/engine.hpp"
 #include "wl/start_gap_region.hpp"
-#include "wl/wear_leveler.hpp"
 
 namespace srbsg::wl {
 
@@ -32,7 +32,7 @@ struct RbsgConfig {
   [[nodiscard]] u64 region_lines() const { return lines / regions; }
 };
 
-class RegionStartGap final : public WearLeveler {
+class RegionStartGap final : public BulkEngine<RegionStartGap> {
  public:
   explicit RegionStartGap(const RbsgConfig& cfg);
 
@@ -45,15 +45,6 @@ class RegionStartGap final : public WearLeveler {
   [[nodiscard]] u64 physical_lines() const override {
     return cfg_.regions * (cfg_.region_lines() + 1);
   }
-  [[nodiscard]] Pa translate(La la) const override;
-
-  WriteOutcome write(La la, const pcm::LineData& data, pcm::PcmBank& bank) override;
-  BulkOutcome write_repeated(La la, const pcm::LineData& data, u64 count,
-                             pcm::PcmBank& bank) override;
-  BulkOutcome write_batch(std::span<const La> las, const pcm::LineData& data,
-                          pcm::PcmBank& bank) override;
-  BulkOutcome write_cycle(std::span<const La> pattern, const pcm::LineData& data, u64 count,
-                          pcm::PcmBank& bank) override;
 
   [[nodiscard]] const RbsgConfig& config() const { return cfg_; }
   /// Static randomizer (identity when configured with kNone).
@@ -67,41 +58,48 @@ class RegionStartGap final : public WearLeveler {
   /// randomizer).
   [[nodiscard]] static RbsgConfig plain_start_gap(u64 lines, u64 interval);
 
-  void set_rate_boost(u32 log2_divisor) override {
-    check_lt(log2_divisor, u32{64}, "set_rate_boost: boost shifts past the interval width");
-    boost_ = log2_divisor;
-  }
   /// Region register bounds, write-counter bounds, and (for enumerable
   /// widths) bijectivity of the static randomizer.
   void validate_state() const override;
   /// Effective remapping interval (configured ψ divided by the boost).
-  [[nodiscard]] u64 effective_interval() const {
-    const u64 iv = cfg_.interval >> boost_;
-    return iv == 0 ? 1 : iv;
-  }
+  [[nodiscard]] u64 effective_interval() const { return boosted(cfg_.interval); }
 
  private:
+  friend class BulkEngine<RegionStartGap>;
+
+  // Remapping rule (wl/engine.hpp): a static randomizer picks the region,
+  // whose write counter fires one gap movement every ψ writes.
+  static constexpr bool kDomainCounters = true;
+  static constexpr bool kStaticOuter = true;
+  static constexpr Fold kFold = Fold::kUniform;
+  [[nodiscard]] Loc locate(u64 la) const {
+    const u64 ia = randomize(la);
+    return {place(ia), ia / cfg_.region_lines(), ia};
+  }
+  [[nodiscard]] Pa place(u64 ia) const {
+    const u64 m = cfg_.region_lines();
+    return Pa{region_base(ia / m) + sg_[ia / m].translate(ia % m)};
+  }
+  [[nodiscard]] u64& domain_counter(u64 q) { return counter_[q]; }
+  [[nodiscard]] u64 domain_interval() const { return effective_interval(); }
   /// Executes one gap movement in region `q`; returns its latency.
-  Ns do_movement(u64 q, pcm::PcmBank& bank);
-
-  /// PR-4 windowed engine, continuing from pattern phase `phase0` for up
-  /// to `count` more writes; accumulates into `out`. The epoch path calls
-  /// this as its fallback tail.
-  void write_cycle_windowed(std::span<const La> pattern, const pcm::LineData& data, u64 count,
-                            u64 phase0, pcm::PcmBank& bank, BulkOutcome& out);
-
-  /// Epoch fast-forward engine (DESIGN.md §15): analytic jumps over whole
-  /// gap-movement epochs, replaying only movements that relocate a
-  /// pattern line or wrap a region's rotation.
-  BulkOutcome write_cycle_epoch(std::span<const La> pattern, const pcm::LineData& data,
-                                u64 count, pcm::PcmBank& bank);
+  Ns fire_domain(u64 q, pcm::PcmBank& bank, u64& moved);
+  /// Epoch fold: aggregated gap movements between replayed movements
+  /// that relocate a pattern line or wrap a region's rotation.
+  [[nodiscard]] EpochPlan epoch_plan(const batch::Window& w, u64 remaining) const;
+  FoldResult epoch_fold(const EpochPlan& p, const batch::Window& w, u64 done, u64 jump,
+                        const pcm::LineData& uniform, pcm::PcmBank& bank, BulkOutcome& out);
+  /// Each pattern region's gap slot: stale content, budgeted wear.
+  template <typename Fn>
+  void for_each_stale_slot(const batch::Window& w, Fn&& fn) const {
+    for (const auto& d : w.doms) fn(region_base(d.key) + sg_[d.key].gap());
+  }
   [[nodiscard]] u64 region_base(u64 q) const { return q * (cfg_.region_lines() + 1); }
 
   RbsgConfig cfg_;
   std::unique_ptr<mapping::AddressMapper> mapper_;  ///< null = identity
   std::vector<StartGapRegion> sg_;
   std::vector<u64> counter_;
-  u32 boost_{0};
 };
 
 }  // namespace srbsg::wl

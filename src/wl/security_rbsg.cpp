@@ -5,8 +5,6 @@
 #include "common/bitops.hpp"
 #include "common/check.hpp"
 #include "telemetry/telemetry.hpp"
-#include "wl/batch.hpp"
-#include "wl/epoch.hpp"
 #include "pcm/timing.hpp"
 
 namespace srbsg::wl {
@@ -34,12 +32,7 @@ Pa SecurityRbsg::ia_to_pa(u64 ia) const {
   return Pa{q * (m + 1) + inner_[q].translate(off)};
 }
 
-Pa SecurityRbsg::translate(La la) const {
-  check(la.value() < cfg_.lines, "SecurityRbsg: address out of range");
-  return ia_to_pa(outer_.translate(la.value()));
-}
-
-Ns SecurityRbsg::do_inner_movement(u64 q, pcm::PcmBank& bank) {
+Ns SecurityRbsg::fire_domain(u64 q, pcm::PcmBank& bank, u64& moved) {
   if (tel_ != nullptr) {
     tel_->emit(telemetry::EventType::kRemapTriggered, tel_id_, checked_narrow<u32>(q),
                telemetry::kLevelInner, 0);
@@ -52,10 +45,11 @@ Ns SecurityRbsg::do_inner_movement(u64 q, pcm::PcmBank& bank) {
     tel_->emit(telemetry::EventType::kGapMoved, tel_id_, checked_narrow<u32>(q), from.value(),
                to.value());
   }
+  ++moved;
   return bank.move_line(from, to);
 }
 
-Ns SecurityRbsg::do_outer_movement(pcm::PcmBank& bank) {
+SecurityRbsg::OuterMove SecurityRbsg::outer_step() {
   if (tel_ != nullptr) {
     tel_->emit(telemetry::EventType::kRemapTriggered, tel_id_, telemetry::kGlobalDomain,
                telemetry::kLevelOuter, 0);
@@ -66,42 +60,22 @@ Ns SecurityRbsg::do_outer_movement(pcm::PcmBank& bank) {
   // The outer movement copies one intermediate line; both endpoints are
   // located through the inner mappings at this instant.
   const auto mv = outer_.advance();
-  const Pa from = ia_to_pa(mv.from);
-  const Pa to = ia_to_pa(mv.to);
+  const OuterMove om{mv.from, mv.to, ia_to_pa(mv.from), ia_to_pa(mv.to)};
   if (tel_ != nullptr) {
     if (rekey) {
       tel_->emit(telemetry::EventType::kKeyRerandomized, tel_id_, telemetry::kGlobalDomain,
                  outer_.rounds_completed() + 1, 0);
     }
-    tel_->emit(telemetry::EventType::kGapMoved, tel_id_, telemetry::kGlobalDomain, from.value(),
-               to.value());
+    tel_->emit(telemetry::EventType::kGapMoved, tel_id_, telemetry::kGlobalDomain,
+               om.from.value(), om.to.value());
   }
-  return bank.move_line(from, to);
+  return om;
 }
 
-WriteOutcome SecurityRbsg::write(La la, const pcm::LineData& data, pcm::PcmBank& bank) {
-  const u64 ia = outer_.translate(la.value());
-  WriteOutcome out;
-  out.total = bank.write(ia_to_pa(ia), data);
-  Ns stall{0};
-  u32 moved = 0;
-  if (ia != outer_.spare_ia()) {
-    const u64 q = ia / cfg_.region_lines();
-    if (++inner_counter_[q] >= effective_inner_interval()) {
-      inner_counter_[q] = 0;
-      stall += do_inner_movement(q, bank);
-      ++moved;
-    }
-  }
-  if (++outer_counter_ >= effective_outer_interval()) {
-    outer_counter_ = 0;
-    stall += do_outer_movement(bank);
-    ++moved;
-  }
-  out.stall = stall;
-  out.movements = moved;
-  out.total += stall;
-  return out;
+Ns SecurityRbsg::fire_global(pcm::PcmBank& bank, u64& moved) {
+  const OuterMove om = outer_step();
+  ++moved;
+  return bank.move_line(om.from, om.to);
 }
 
 void SecurityRbsg::validate_state() const {
@@ -115,453 +89,119 @@ void SecurityRbsg::validate_state() const {
   }
 }
 
-BulkOutcome SecurityRbsg::write_batch(std::span<const La> las, const pcm::LineData& data,
-                                      pcm::PcmBank& bank) {
-  for (const La la : las) {
-    check(la.value() < cfg_.lines, "SecurityRbsg: address out of range");
-  }
+EpochPlan SecurityRbsg::epoch_plan(const batch::Window& w, u64 remaining) const {
+  const u64 iv_in = effective_inner_interval();
   const u64 m = cfg_.region_lines();
-  return batch::run_compressed_batch(
-      *this, las, data, bank, [&](La la, BulkOutcome& out) {
-        const u64 ia = outer_.translate(la.value());
-        out.total += bank.write(ia_to_pa(ia), data);
-        ++out.writes_applied;
-        if (ia != outer_.spare_ia()) {
-          const u64 q = ia / m;
-          if (++inner_counter_[q] >= effective_inner_interval()) {
-            inner_counter_[q] = 0;
-            out.total += do_inner_movement(q, bank);
-            ++out.movements;
-          }
-        }
-        if (++outer_counter_ >= effective_outer_interval()) {
-          outer_counter_ = 0;
-          out.total += do_outer_movement(bank);
-          ++out.movements;
-        }
-      });
+  // Inner level: per active region, gap movements aggregate until one
+  // would shift a pattern slot or wrap (Start redraw); the
+  // cumulative-safe formulation below stays valid across every segment
+  // of the jump, so it is computed once per jump.
+  u64 b_in = batch::kUnbounded;
+  for (const auto& d : w.doms) {
+    const u64 base = d.key * (m + 1);
+    const u64 g = inner_[d.key].gap();
+    u64 safe = g;
+    for (u64 i = 0; i < w.keys.size(); ++i) {
+      if (w.keys[i] != d.key) continue;
+      const u64 local = w.pas[i].value() - base;
+      if (local < g) safe = std::min(safe, g - local - 1);
+    }
+    const u64 need = (iv_in - inner_counter_[d.key]) + safe * iv_in;
+    b_in = std::min(b_in, d.hits.until_nth(w.phase, need));
+  }
+  // Writes coverable by this jump. Outer (DFN) movements cannot
+  // fast-forward — the Feistel walk replays one movement per ψ_out
+  // writes — but each replay is cheap (wear + an exact one-line copy),
+  // so the segments walk whole ψ_out intervals and only stop early when
+  // a movement displaces a pattern line. Per segment a movement slot
+  // takes at most one aggregated gap-shift wear (contiguous descending
+  // ranges, disjoint from any replayed movement's target) plus one
+  // outer-movement destination: two budget units.
+  return {.jump = std::min(remaining, b_in), .cost = 2, .boundary = b_in <= remaining};
 }
 
-BulkOutcome SecurityRbsg::write_cycle(std::span<const La> pattern, const pcm::LineData& data,
-                                      u64 count, pcm::PcmBank& bank) {
-  BulkOutcome out;
-  if (count == 0) return out;
-  check(!pattern.empty(), "write_cycle: empty pattern with writes requested");
-  for (const La la : pattern) {
-    check(la.value() < cfg_.lines, "SecurityRbsg: address out of range");
-  }
-  const u64 period = pattern.size();
-  if (engine_tier() == EngineTier::kReference) {
-    return WearLeveler::write_cycle(pattern, data, count, bank);
-  }
-  const u64 min_iv = std::min(effective_inner_interval(), effective_outer_interval());
-  if (period > batch::kPatternFallbackFactor * min_iv) {
-    if (engine_tier() == EngineTier::kEpoch) {
-      epoch::span_fallback_begin(tel_, tel_id_, 0,
-                                 telemetry::FallbackReason::kNonPeriodicPattern);
-      const BulkOutcome ref = WearLeveler::write_cycle(pattern, data, count, bank);
-      epoch::span_fallback_end(tel_, tel_id_, ref.total.value(),
-                               telemetry::FallbackReason::kNonPeriodicPattern);
-      return ref;
-    }
-    return WearLeveler::write_cycle(pattern, data, count, bank);
-  }
-  // The epoch engine's O(physical lines) headroom scan is amortized
-  // across calls by the cross-call cache, so even short bursts (BPA's
-  // 256-write probes) take the epoch engine under that tier.
-  if (engine_tier() == EngineTier::kEpoch) {
-    return write_cycle_epoch(pattern, data, count, bank);
-  }
-  write_cycle_windowed(pattern, data, count, 0, bank, out);
-  return out;
-}
-
-void SecurityRbsg::write_cycle_windowed(std::span<const La> pattern, const pcm::LineData& data,
-                                        u64 count, u64 phase0, pcm::PcmBank& bank,
-                                        BulkOutcome& out) {
-  const u64 period = pattern.size();
-  const u64 m = cfg_.region_lines();
-  // DFN movements re-key the outer mapping (and move the spare), so
-  // domain keys and line schedules are revalidated after every movement;
-  // the position currently on the spare advances no inner counter.
-  std::vector<u64> keys;
-  std::vector<u64> keys_fresh;
-  std::vector<Pa> pas;
-  std::vector<Pa> pas_fresh;
-  std::vector<batch::DomainSched> doms;
-  std::vector<batch::LineSched> lines;
-  bool rebuild = true;
-  u64 phase = phase0;
-  u64 applied = 0;
-  while (applied < count && !bank.has_failure()) {
-    if (rebuild) {
-      keys_fresh.resize(period);
-      pas_fresh.resize(period);
-      for (u64 i = 0; i < period; ++i) {
-        const u64 ia = outer_.translate(pattern[i].value());
-        keys_fresh[i] = ia == outer_.spare_ia() ? batch::kNoDomain : ia / m;
-        pas_fresh[i] = ia_to_pa(ia);
-      }
-      if (batch::adopt_if_changed(keys, keys_fresh)) {
-        batch::build_domain_scheds(keys, doms);
-      }
-      if (batch::adopt_if_changed(pas, pas_fresh)) {
-        batch::build_line_scheds(pas, bank, lines);
-      }
-      rebuild = false;
-    }
-    const u64 iv_in = effective_inner_interval();
-    const u64 iv_out = effective_outer_interval();
-    const u64 until_outer = outer_counter_ >= iv_out ? 1 : iv_out - outer_counter_;
-    u64 chunk = std::min(count - applied, until_outer);
-    for (const auto& d : doms) {
-      const u64 deficit =
-          inner_counter_[d.key] >= iv_in ? 1 : iv_in - inner_counter_[d.key];
-      chunk = std::min(chunk, d.hits.until_nth(phase, deficit));
-    }
-    chunk = batch::cap_chunk_at_failure(lines, phase, chunk);
-    out.total += batch::apply_chunk(lines, data, phase, chunk, bank, tel_, tel_id_,
-                                    out.total.value());
-    applied += chunk;
-    const u64 chunk_phase = phase;
-    for (const auto& d : doms) inner_counter_[d.key] += d.hits.hits_in(phase, chunk);
-    outer_counter_ += chunk;
-    phase = (phase + chunk) % period;
-    // Fire in write()'s order: the (single) due inner region, then the
-    // outer movement — even when the chunk's last write recorded the
-    // failure. Both movement kinds always move a line here. A region whose
-    // counter sits past a shrunken ψ_in but took no write in this chunk
-    // must wait for its next write, like the per-write path.
-    for (const auto& d : doms) {
-      if (inner_counter_[d.key] >= iv_in && d.hits.hits_in(chunk_phase, chunk) > 0) {
-        inner_counter_[d.key] = 0;
-        out.total += do_inner_movement(d.key, bank);
-        ++out.movements;
-        rebuild = true;
-      }
-    }
-    if (outer_counter_ >= iv_out) {
-      outer_counter_ = 0;
-      out.total += do_outer_movement(bank);
-      ++out.movements;
-      rebuild = true;
-    }
-  }
-  out.writes_applied += applied;
-}
-
-BulkOutcome SecurityRbsg::write_cycle_epoch(std::span<const La> pattern,
-                                            const pcm::LineData& data, u64 count,
-                                            pcm::PcmBank& bank) {
-  BulkOutcome out;
-  const u64 period = pattern.size();
+FoldResult SecurityRbsg::epoch_fold(const EpochPlan& p, const batch::Window& w, u64 done,
+                                    u64 seg, const pcm::LineData& /*uniform*/,
+                                    pcm::PcmBank& bank, BulkOutcome& out) {
+  const u64 iv_in = effective_inner_interval();
   const u64 m = cfg_.region_lines();
   const pcm::PcmConfig& pcfg = bank.config();
+  const bool outer_live = seg == effective_outer_interval() - outer_counter_;
+  FoldResult f;
 
-  // Pattern mapping + schedules, rebuilt only when a movement actually
-  // displaces a pattern line (outer DFN movements re-shard the pattern;
-  // the spare position advances no inner counter and owns no domain).
-  std::vector<u64> ias(period);
-  std::vector<u64> keys(period);
-  std::vector<batch::DomainSched> doms;
-  std::vector<Pa> pas;
-  std::vector<Pa> fresh;
-  std::vector<batch::LineSched> lines;
-  std::vector<u64> pat_slots;
-  std::vector<u64> next_slots;
-  bool rebuild = true;
-  u64 phase = 0;
-
-  // Unlike the closed-form engines, this one replays every movement's
-  // data shift exactly (sources read back from the bank), so no content
-  // uniformity is required — only the headroom budget proving that
-  // unchecked aggregate wear cannot push a movement slot past its
-  // endurance limit. A previous epoch call's budget survives when
-  // nothing wrote to the bank in between (BPA's 256-write probe bursts
-  // rely on this).
-  epoch::HeadroomBudget budget;
-  bool budgeted = ecache_.restore(bank, budget);
-
-  const auto windowed_tail = [&](telemetry::FallbackReason reason) {
-    epoch::span_fallback_begin(tel_, tel_id_, out.total.value(), reason);
-    write_cycle_windowed(pattern, data, count - out.writes_applied, phase, bank, out);
-    epoch::span_fallback_end(tel_, tel_id_, out.total.value(), reason);
-  };
-
-  const auto fold_headroom = [&](u64 s) {
-    const u64 limit = bank.line_endurance(Pa{s});
-    const u64 w = bank.wear(Pa{s});
-    const u64 h = limit > w ? limit - w : 0;
-    if (h < budget.remaining()) budget.seed(h);
-  };
-  // Conservative wear margin over every slot the pattern writes do not
-  // track exactly: movement slots, gap holes and the spare all take
-  // movement wear. Never fails — a polluted or near-worn bank just gets
-  // a small budget and tails sooner.
-  const auto rescan = [&](telemetry::FallbackReason reason) {
-    budget.seed(epoch::min_headroom_excluding(bank, physical_lines(), pat_slots));
-    epoch::emit_projection(tel_, tel_id_, telemetry::kGlobalDomain, out.total.value(),
-                           count - out.writes_applied, reason);
-  };
-
-  while (out.writes_applied < count && !bank.has_failure()) {
-    if (rebuild) {
-      for (u64 i = 0; i < period; ++i) {
-        ias[i] = outer_.translate(pattern[i].value());
-        keys[i] = ias[i] == outer_.spare_ia() ? batch::kNoDomain : ias[i] / m;
-      }
-      batch::build_domain_scheds(keys, doms);
-      fresh.resize(period);
-      for (u64 i = 0; i < period; ++i) fresh[i] = ia_to_pa(ias[i]);
-      if (batch::adopt_if_changed(pas, fresh)) {
-        batch::build_line_scheds(pas, bank, lines);
-        next_slots.clear();
-        for (const auto& ls : lines) next_slots.push_back(ls.pa.value());
-        std::sort(next_slots.begin(), next_slots.end());
-        if (budgeted) {
-          // A slot leaving the pattern set re-joins the movement pool
-          // carrying pattern-scale wear.
-          for (const u64 s : pat_slots) {
-            if (std::binary_search(next_slots.begin(), next_slots.end(), s)) continue;
-            fold_headroom(s);
-          }
-        }
-        pat_slots.swap(next_slots);
-      }
-      rebuild = false;
-    }
-    if (!budgeted) {
-      // A cold cross-call cache forces the fresh headroom projection.
-      rescan(telemetry::FallbackReason::kCacheMiss);
-      budgeted = true;
-    }
-    const u64 iv_in = effective_inner_interval();
-    const u64 iv_out = effective_outer_interval();
-    bool overrun = outer_counter_ >= iv_out;  // interval shrank below a carried counter
-    for (const auto& d : doms) overrun = overrun || inner_counter_[d.key] >= iv_in;
-    if (overrun) {
-      windowed_tail(telemetry::FallbackReason::kPsiChange);
-      return out;
-    }
-    const u64 remaining = count - out.writes_applied;
-
-    // Inner level: per active region, gap movements aggregate until one
-    // would shift a pattern slot or wrap (Start redraw); the
-    // cumulative-safe formulation below stays valid across every segment
-    // of this round, so it is computed once per round.
-    u64 b_in = batch::kUnbounded;
-    for (const auto& d : doms) {
-      const u64 base = d.key * (m + 1);
-      const u64 g = inner_[d.key].gap();
-      u64 safe = g;
-      for (u64 i = 0; i < period; ++i) {
-        if (keys[i] != d.key) continue;
-        const u64 local = pas[i].value() - base;
-        if (local < g) safe = std::min(safe, g - local - 1);
-      }
-      const u64 at = d.hits.until_nth(phase, (iv_in - inner_counter_[d.key]) + safe * iv_in);
-      b_in = std::min(b_in, at);
-    }
-    // Writes coverable this round. Outer (DFN) movements cannot
-    // fast-forward — the Feistel walk replays one movement per ψ_out
-    // writes — but each replay is cheap (wear + an exact one-line copy),
-    // so the segment loop below walks whole ψ_out intervals and only
-    // surfaces when a movement displaces a pattern line (rebuild).
-    const u64 big = std::min(remaining, b_in);
-    const bool inner_boundary = b_in <= remaining;
-
-    // Endurance cap over the pattern lines, hoisted: `until_nth` counts
-    // from this round's phase, so one bound covers every segment.
-    u64 lfail = batch::kUnbounded;
-    for (const auto& ls : lines) {
-      lfail = std::min(lfail, ls.hits.until_nth(phase, ls.remaining));
-    }
-
-    const u64 jump_t0 = out.total.value();
-    u64 done = 0;
-    u64 steps = 0;
-    bool stop = false;
-    bool tail = false;
-    while (done < big && !stop) {
-      const u64 until_outer = iv_out - outer_counter_;
-      const u64 seg = std::min(big - done, until_outer);
-      const bool outer_live = seg == until_outer;
-      const bool at_big = done + seg == big;
-
-      if (lfail <= done + seg) {  // a pattern line fails inside this segment
-        tail = true;
-        break;
-      }
-      // Per segment a movement slot takes at most one aggregated
-      // gap-shift wear (contiguous descending ranges, disjoint from any
-      // replayed movement's target) plus one outer-movement destination.
-      if (!budget.spend(2)) {
-        rescan(telemetry::FallbackReason::kNone);
-        if (!budget.spend(2)) {
-          tail = true;  // genuinely near a movement-slot failure
-          break;
-        }
-      }
-
-      // Pattern wear/data: one failure-checked bulk write per distinct PA.
-      for (auto& ls : lines) {
-        const u64 h = ls.hits.hits_in(phase, seg);
-        if (h == 0) continue;
-        out.total += bank.bulk_write(ls.pa, data, h);
-        ls.remaining -= h;
-      }
-
-      // The final write of the round's last segment can fire the one
-      // inner movement the aggregate below must not fold: at the b_in
-      // boundary the due movement would cross a pattern slot or wrap
-      // (Start redraw), so it replays exactly.
-      bool inner_exact = false;
-      u64 q_b = batch::kNoDomain;
-      if (at_big && inner_boundary) {
-        q_b = keys[(phase + seg - 1) % period];
-        if (q_b != batch::kNoDomain) {
-          for (const auto& d : doms) {
-            if (d.key != q_b) continue;
-            inner_exact = (inner_counter_[d.key] + d.hits.hits_in(phase, seg)) % iv_in == 0;
-            break;
-          }
-        }
-      }
-      // Aggregated gap movements per region: one wear range plus an exact
-      // replay of the data shift — destination t receives slot t−1's
-      // line, walked top-down so each source is read before it is
-      // overwritten. Sources are re-read from the bank, so non-uniform
-      // content (attack residue) is carried bit-exactly. Movements
-      // co-firing at an outer boundary are aggregated too: they are
-      // within the safe distance, and the gap retreat lands before the
-      // outer replay reads the inner mapping, matching write()'s
-      // inner-then-outer order.
-      for (const auto& d : doms) {
-        const u64 h = d.hits.hits_in(phase, seg);
-        u64 moves = (inner_counter_[d.key] + h) / iv_in;
-        inner_counter_[d.key] = (inner_counter_[d.key] + h) % iv_in;
-        if (inner_exact && d.key == q_b) --moves;  // the boundary movement replays below
-        if (moves == 0) continue;
-        const u64 base = d.key * (m + 1);
-        const u64 g = inner_[d.key].gap();
-        bank.add_wear_range_unchecked(Pa{base + g - moves + 1}, moves, 1);
-        for (u64 t = base + g; t > base + g - moves; --t) {
-          const pcm::LineData src = bank.data(Pa{t - 1});
-          out.total += pcm::move_latency(pcfg, src.cls);
-          if (!(bank.data(Pa{t}) == src)) bank.poke_data(Pa{t}, src);
-        }
-        inner_[d.key].retreat_gap(moves);
-        out.movements += moves;
-        steps += moves;
-      }
-      outer_counter_ += seg;
-      done += seg;
-      phase = (phase + seg) % period;
-
-      // Replay the due movement(s), in write()'s order (inner then
-      // outer); the due counters already read 0 here.
-      if (inner_exact) {
-        out.total += do_inner_movement(q_b, bank);
-        ++out.movements;
-        ++steps;
-        rebuild = true;  // a wrap redraws Start and shifts the region wholesale
-        stop = true;
-      }
-      if (outer_live) {
-        outer_counter_ = 0;
-        // Inline DFN replay; telemetry mirrors do_outer_movement().
-        if (tel_ != nullptr) {
-          tel_->emit(telemetry::EventType::kRemapTriggered, tel_id_,
-                     telemetry::kGlobalDomain, telemetry::kLevelOuter, 0);
-        }
-        const bool rekey = outer_.round_idle();
-        const auto mv = outer_.advance();
-        if (tel_ != nullptr && rekey) {
-          tel_->emit(telemetry::EventType::kKeyRerandomized, tel_id_,
-                     telemetry::kGlobalDomain, outer_.rounds_completed() + 1, 0);
-        }
-        bool touches_pattern = false;
-        for (u64 i = 0; i < period; ++i) {
-          touches_pattern = touches_pattern || ias[i] == mv.from || ias[i] == mv.to;
-        }
-        const Pa ofrom = ia_to_pa(mv.from);
-        const Pa oto = ia_to_pa(mv.to);
-        if (tel_ != nullptr) {
-          tel_->emit(telemetry::EventType::kGapMoved, tel_id_, telemetry::kGlobalDomain,
-                     ofrom.value(), oto.value());
-        }
-        ++out.movements;
-        ++steps;
-        if (touches_pattern) {
-          // A pattern line actually moves: copy it with checked wear and
-          // rebuild the schedules around its new position.
-          out.total += bank.move_line(ofrom, oto);
-          rebuild = true;
-          stop = true;
-        } else {
-          // The copy cannot involve a pattern line: replay it exactly
-          // with budget-covered wear. Reading the source from the bank
-          // keeps arbitrary content (attack residue, the parked spare)
-          // bit-exact without any uniformity assumption.
-          bank.add_wear_range_unchecked(oto, 1, 1);
-          const pcm::LineData src = bank.data(ofrom);
-          out.total += pcm::move_latency(pcfg, src.cls);
-          if (!(bank.data(oto) == src)) bank.poke_data(oto, src);
-        }
-      }
-    }
-    out.writes_applied += done;
-    if (done > 0) {
-      epoch::emit_jump(tel_, tel_id_, telemetry::kGlobalDomain, done, steps, jump_t0,
-                       out.total.value());
-    }
-    if (tail) {
-      // Both tail sites bail because a line is about to cross its
-      // endurance limit (pattern line or movement slot).
-      windowed_tail(telemetry::FallbackReason::kNearFailure);
-      return out;
+  // The final write of the jump's last segment can fire the one inner
+  // movement the aggregate below must not fold: at the boundary the due
+  // movement would cross a pattern slot or wrap (Start redraw), so it
+  // replays exactly.
+  u64 q_b = batch::kNoDomain;
+  if (p.boundary && done + seg == p.jump) {
+    const u64 q = w.keys[(w.phase + seg - 1) % w.keys.size()];
+    for (const auto& d : w.doms) {
+      if (d.key != q) continue;
+      if ((inner_counter_[d.key] + d.hits.hits_in(w.phase, seg)) % iv_in == 0) q_b = q;
+      break;
     }
   }
-  if (budgeted && !bank.has_failure()) {
-    ecache_.save(bank, budget);
+  // Aggregated gap movements per region: one wear range plus an exact
+  // replay of the data shift — destination t receives slot t−1's line,
+  // walked top-down so each source is read before it is overwritten.
+  // Sources are re-read from the bank, so non-uniform content (attack
+  // residue) is carried bit-exactly. Movements co-firing at an outer
+  // boundary are aggregated too: they are within the safe distance, and
+  // the gap retreat lands before the outer replay reads the inner
+  // mapping, matching write()'s inner-then-outer order.
+  for (const auto& d : w.doms) {
+    const u64 c = inner_counter_[d.key] + d.hits.hits_in(w.phase, seg);
+    u64 moves = c / iv_in;
+    inner_counter_[d.key] = c % iv_in;
+    if (d.key == q_b) --moves;  // the boundary movement replays below
+    if (moves == 0) continue;
+    const u64 base = d.key * (m + 1);
+    const u64 g = inner_[d.key].gap();
+    bank.add_wear_range_unchecked(Pa{base + g - moves + 1}, moves, 1);
+    for (u64 t = base + g; t > base + g - moves; --t) {
+      const pcm::LineData src = bank.data(Pa{t - 1});
+      out.total += pcm::move_latency(pcfg, src.cls);
+      if (!(bank.data(Pa{t}) == src)) bank.poke_data(Pa{t}, src);
+    }
+    inner_[d.key].retreat_gap(moves);
+    out.movements += moves;
+    f.steps += moves;
   }
-  return out;
-}
+  outer_counter_ += seg;
 
-BulkOutcome SecurityRbsg::write_repeated(La la, const pcm::LineData& data, u64 count,
-                                         pcm::PcmBank& bank) {
-  BulkOutcome out;
-  while (out.writes_applied < count && !bank.has_failure()) {
-    // An outer movement can remap `la` into another sub-region (or the
-    // spare), so the chunk ends at the nearest trigger and everything is
-    // recomputed afterwards.
-    const u64 ia = outer_.translate(la.value());
-    const bool on_spare = ia == outer_.spare_ia();
-    const u64 q = on_spare ? 0 : ia / cfg_.region_lines();
-    const u64 iv_in = effective_inner_interval();
-    const u64 iv_out = effective_outer_interval();
-    const u64 until_inner =
-        on_spare ? count
-                 : (inner_counter_[q] >= iv_in ? 1 : iv_in - inner_counter_[q]);
-    const u64 until_outer = outer_counter_ >= iv_out ? 1 : iv_out - outer_counter_;
-    const u64 chunk = std::min({count - out.writes_applied, until_inner, until_outer});
-    out.total += bank.bulk_write(ia_to_pa(ia), data, chunk);
-    out.writes_applied += chunk;
-    if (!on_spare) inner_counter_[q] += chunk;
-    outer_counter_ += chunk;
-    if (bank.has_failure()) break;
-    if (!on_spare && inner_counter_[q] >= iv_in) {
-      inner_counter_[q] = 0;
-      out.total += do_inner_movement(q, bank);
-      ++out.movements;
-    }
-    if (outer_counter_ >= iv_out) {
-      outer_counter_ = 0;
-      out.total += do_outer_movement(bank);
-      ++out.movements;
+  // Replay the due movement(s), in write()'s order (inner then outer).
+  if (q_b != batch::kNoDomain) {
+    // A wrap redraws Start and shifts the region wholesale.
+    out.total += fire_domain(q_b, bank, out.movements);
+    ++f.steps;
+    f.stop = true;
+  }
+  if (outer_live) {
+    outer_counter_ = 0;
+    const OuterMove om = outer_step();
+    ++out.movements;
+    ++f.steps;
+    const bool touches_pattern = std::any_of(w.ias.begin(), w.ias.end(), [&om](u64 ia) {
+      return ia == om.ia_from || ia == om.ia_to;
+    });
+    if (touches_pattern) {
+      // A pattern line actually moves: copy it with checked wear and
+      // re-locate the pattern around its new position.
+      out.total += bank.move_line(om.from, om.to);
+      f.stop = true;
+    } else {
+      // The copy cannot involve a pattern line: replay it exactly with
+      // budget-covered wear. Reading the source from the bank keeps
+      // arbitrary content (attack residue, the parked spare) bit-exact
+      // without any uniformity assumption.
+      bank.add_wear_range_unchecked(om.to, 1, 1);
+      const pcm::LineData src = bank.data(om.from);
+      out.total += pcm::move_latency(pcfg, src.cls);
+      if (!(bank.data(om.to) == src)) bank.poke_data(om.to, src);
     }
   }
-  return out;
+  return f;
 }
 
 }  // namespace srbsg::wl

@@ -14,13 +14,13 @@
 // Physical layout: sub-region q occupies slots [q*(M+1), (q+1)*(M+1));
 // the outer spare line is the final physical line.
 
+#include <algorithm>
 #include <vector>
 
 #include "common/check.hpp"
 #include "wl/dfn.hpp"
-#include "wl/epoch.hpp"
+#include "wl/engine.hpp"
 #include "wl/start_gap_region.hpp"
-#include "wl/wear_leveler.hpp"
 
 namespace srbsg::wl {
 
@@ -37,7 +37,7 @@ struct SecurityRbsgConfig {
   [[nodiscard]] u64 region_lines() const { return lines / sub_regions; }
 };
 
-class SecurityRbsg final : public WearLeveler {
+class SecurityRbsg final : public BulkEngine<SecurityRbsg> {
  public:
   explicit SecurityRbsg(const SecurityRbsgConfig& cfg);
 
@@ -46,15 +46,6 @@ class SecurityRbsg final : public WearLeveler {
   [[nodiscard]] u64 physical_lines() const override {
     return cfg_.sub_regions * (cfg_.region_lines() + 1) + 1;
   }
-  [[nodiscard]] Pa translate(La la) const override;
-
-  WriteOutcome write(La la, const pcm::LineData& data, pcm::PcmBank& bank) override;
-  BulkOutcome write_repeated(La la, const pcm::LineData& data, u64 count,
-                             pcm::PcmBank& bank) override;
-  BulkOutcome write_batch(std::span<const La> las, const pcm::LineData& data,
-                          pcm::PcmBank& bank) override;
-  BulkOutcome write_cycle(std::span<const La> pattern, const pcm::LineData& data, u64 count,
-                          pcm::PcmBank& bank) override;
 
   [[nodiscard]] const SecurityRbsgConfig& config() const { return cfg_; }
   [[nodiscard]] const DynamicFeistelOuter& outer() const { return outer_; }
@@ -64,43 +55,58 @@ class SecurityRbsg final : public WearLeveler {
   /// register bounds, and the inner/outer write-counter bounds.
   void validate_state() const override;
 
-  void set_rate_boost(u32 log2_divisor) override {
-    check_lt(log2_divisor, u32{64}, "set_rate_boost: boost shifts past the interval width");
-    boost_ = log2_divisor;
-  }
-  [[nodiscard]] u64 effective_inner_interval() const {
-    const u64 iv = cfg_.inner_interval >> boost_;
-    return iv == 0 ? 1 : iv;
-  }
-  [[nodiscard]] u64 effective_outer_interval() const {
-    const u64 iv = cfg_.outer_interval >> boost_;
-    return iv == 0 ? 1 : iv;
-  }
+  [[nodiscard]] u64 effective_inner_interval() const { return boosted(cfg_.inner_interval); }
+  [[nodiscard]] u64 effective_outer_interval() const { return boosted(cfg_.outer_interval); }
 
  private:
+  friend class BulkEngine<SecurityRbsg>;
+
+  // Remapping rule (wl/engine.hpp): the DFN maps LA→IA and moves one
+  // line every ψ_out writes to the bank; the IA's sub-region moves its
+  // Start-Gap gap every ψ_in writes landing in it. A line parked on the
+  // spare advances no inner counter.
+  static constexpr bool kDomainCounters = true;
+  static constexpr bool kGlobalCounter = true;
+  static constexpr Fold kFold = Fold::kExactReplay;
+  [[nodiscard]] Loc locate(u64 la) const {
+    const u64 ia = outer_.translate(la);
+    const u64 dom = ia == outer_.spare_ia() ? batch::kNoDomain : ia / cfg_.region_lines();
+    return {ia_to_pa(ia), dom, ia};
+  }
+  [[nodiscard]] u64& domain_counter(u64 q) { return inner_counter_[q]; }
+  [[nodiscard]] u64 domain_interval() const { return effective_inner_interval(); }
+  [[nodiscard]] u64& global_counter() { return outer_counter_; }
+  [[nodiscard]] u64 global_interval() const { return effective_outer_interval(); }
+  /// One inner Start-Gap movement of sub-region `q`.
+  Ns fire_domain(u64 q, pcm::PcmBank& bank, u64& moved);
+  /// One outer DFN movement.
+  Ns fire_global(pcm::PcmBank& bank, u64& moved);
+  /// The DFN advance of one outer movement, with its telemetry: the IA
+  /// copy it asks for and where both endpoints live now.
+  struct OuterMove {
+    u64 ia_from;
+    u64 ia_to;
+    Pa from;
+    Pa to;
+  };
+  OuterMove outer_step();
+  /// Epoch fold: inner Start-Gap sweeps aggregate between exactly
+  /// replayed outer DFN movements, one ψ_out segment at a time.
+  [[nodiscard]] EpochPlan epoch_plan(const batch::Window& w, u64 remaining) const;
+  [[nodiscard]] u64 epoch_segment(const EpochPlan& p, u64 done) const {
+    return std::min(p.jump - done, effective_outer_interval() - outer_counter_);
+  }
+  FoldResult epoch_fold(const EpochPlan& p, const batch::Window& w, u64 done, u64 seg,
+                        const pcm::LineData& uniform, pcm::PcmBank& bank, BulkOutcome& out);
+
   [[nodiscard]] Pa ia_to_pa(u64 ia) const;
   [[nodiscard]] Pa spare_pa() const { return Pa{physical_lines() - 1}; }
-  Ns do_inner_movement(u64 q, pcm::PcmBank& bank);
-  Ns do_outer_movement(pcm::PcmBank& bank);
-  /// PR-4 windowed engine, entered at cycle offset `phase0`; accumulates
-  /// into `out`.
-  void write_cycle_windowed(std::span<const La> pattern, const pcm::LineData& data, u64 count,
-                            u64 phase0, pcm::PcmBank& bank, BulkOutcome& out);
-  /// Epoch fast-forward engine (DESIGN.md §15): inner Start-Gap sweeps
-  /// aggregate between exactly-replayed outer DFN movements.
-  BulkOutcome write_cycle_epoch(std::span<const La> pattern, const pcm::LineData& data,
-                                u64 count, pcm::PcmBank& bank);
 
   SecurityRbsgConfig cfg_;
   DynamicFeistelOuter outer_;
   std::vector<StartGapRegion> inner_;
   std::vector<u64> inner_counter_;
   u64 outer_counter_{0};
-  u32 boost_{0};
-  /// Cross-call budget cache: short bulk bursts (BPA's probes) re-enter
-  /// the epoch engine without re-paying the O(physical lines) headroom
-  /// scan.
-  epoch::CallCache ecache_;
 };
 
 }  // namespace srbsg::wl

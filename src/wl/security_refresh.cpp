@@ -5,8 +5,6 @@
 #include "common/bitops.hpp"
 #include "common/check.hpp"
 #include "telemetry/telemetry.hpp"
-#include "wl/batch.hpp"
-#include "wl/epoch.hpp"
 
 namespace srbsg::wl {
 
@@ -20,12 +18,7 @@ SecurityRefresh::SecurityRefresh(const SecurityRefreshConfig& cfg)
   cfg_.validate();
 }
 
-Pa SecurityRefresh::translate(La la) const {
-  check(la.value() < cfg_.lines, "SecurityRefresh: address out of range");
-  return Pa{region_.translate(la.value())};
-}
-
-Ns SecurityRefresh::do_step(pcm::PcmBank& bank, u64* movements) {
+Ns SecurityRefresh::fire_global(pcm::PcmBank& bank, u64& moved) {
   if (tel_ != nullptr) {
     tel_->emit(telemetry::EventType::kRemapTriggered, tel_id_, telemetry::kGlobalDomain,
                telemetry::kLevelInner, 0);
@@ -40,7 +33,7 @@ Ns SecurityRefresh::do_step(pcm::PcmBank& bank, u64* movements) {
   // A skipped step (candidate already refreshed this round) triggers a
   // remap but moves nothing: RemapTriggered without GapMoved.
   if (!swap) return Ns{0};
-  if (movements) ++*movements;
+  ++moved;
   if (tel_ != nullptr) {
     tel_->emit(telemetry::EventType::kGapMoved, tel_id_, telemetry::kGlobalDomain, swap->a,
                swap->b);
@@ -48,287 +41,53 @@ Ns SecurityRefresh::do_step(pcm::PcmBank& bank, u64* movements) {
   return bank.swap_lines(Pa{swap->a}, Pa{swap->b});
 }
 
-WriteOutcome SecurityRefresh::write(La la, const pcm::LineData& data, pcm::PcmBank& bank) {
-  WriteOutcome out;
-  out.total = bank.write(translate(la), data);
-  if (++counter_ >= effective_interval()) {
-    counter_ = 0;
-    u64 moved = 0;
-    out.stall = do_step(bank, &moved);
-    out.movements = checked_narrow<u32>(moved);
-    out.total += out.stall;
-  }
-  return out;
-}
-
 void SecurityRefresh::validate_state() const {
   region_.validate();
   check_le(counter_, cfg_.interval, "SecurityRefresh: write counter overran ψ");
 }
 
-BulkOutcome SecurityRefresh::write_batch(std::span<const La> las, const pcm::LineData& data,
-                                         pcm::PcmBank& bank) {
-  for (const La la : las) {
-    check(la.value() < cfg_.lines, "SecurityRefresh: address out of range");
+EpochPlan SecurityRefresh::epoch_plan(const batch::Window& w, u64 remaining) const {
+  const u64 iv = effective_interval();
+  const u64 deficit = iv - counter_;
+  // Triggers the remaining writes would fire: the first after `deficit`
+  // writes, then one per interval.
+  const u64 due = remaining < deficit ? 0 : 1 + (remaining - deficit) / iv;
+  // First upcoming CRP candidate whose swap touches a pattern slot (or
+  // the round end, whichever is closer); steps before it aggregate.
+  u64 boundary = region_.lines();
+  for (const auto& ls : w.lines) {
+    boundary = std::min(boundary, region_.next_touch(ls.pa.value()));
   }
-  if (engine_tier() == EngineTier::kReference) {
-    return WearLeveler::write_batch(las, data, bank);
-  }
-  return batch::run_compressed_batch(
-      *this, las, data, bank, [&](La la, BulkOutcome& out) {
-        out.total += bank.write(Pa{region_.translate(la.value())}, data);
-        ++out.writes_applied;
-        if (++counter_ >= effective_interval()) {
-          counter_ = 0;
-          out.total += do_step(bank, &out.movements);
-        }
-      });
+  const u64 crp = region_.crp();
+  const u64 safe_steps = boundary > crp ? boundary - crp : 0;
+  // Movement-slot wear: one round touches each slot at most once, so the
+  // aggregated swaps cost one unit per slot; the replayed boundary step
+  // can open a *new* round and re-touch an already-swept slot, so a
+  // second unit covers its (checked) wear too.
+  if (due <= safe_steps) return {.jump = remaining, .cost = due > 0 ? 2u : 0u};
+  // Through the boundary trigger's write, which replays live.
+  const u64 jump = deficit + safe_steps * iv;
+  return {.jump = jump, .cost = safe_steps > 0 ? 2u : 0u, .live_global = true};
 }
 
-BulkOutcome SecurityRefresh::write_cycle(std::span<const La> pattern, const pcm::LineData& data,
-                                         u64 count, pcm::PcmBank& bank) {
-  BulkOutcome out;
-  if (count == 0) return out;
-  check(!pattern.empty(), "write_cycle: empty pattern with writes requested");
-  for (const La la : pattern) {
-    check(la.value() < cfg_.lines, "SecurityRefresh: address out of range");
+FoldResult SecurityRefresh::epoch_fold(const EpochPlan& p, const batch::Window& /*w*/,
+                                       u64 /*done*/, u64 jump, const pcm::LineData& uniform,
+                                       pcm::PcmBank& bank, BulkOutcome& out) {
+  const u64 iv = effective_interval();
+  const u64 c = counter_ + jump;
+  const u64 steps = c / iv - u64{p.live_global};
+  counter_ = c - steps * iv;
+  // Aggregated swaps: wear-only; contents are all `uniform`, so the
+  // permutation they induce is invisible and latency is uniform.
+  if (steps > 0) {
+    const std::span<u64> wear = bank.wear_mut();
+    const u64 fired =
+        region_.advance_steps(steps, [&wear](u64 a, u64 b) { ++wear[a], ++wear[b]; });
+    bank.note_writes_unchecked(2 * fired);
+    out.total += pcm::swap_latency(bank.config(), uniform.cls, uniform.cls) * fired;
+    out.movements += fired;
   }
-  if (engine_tier() == EngineTier::kReference) {
-    return WearLeveler::write_cycle(pattern, data, count, bank);
-  }
-  if (pattern.size() > batch::kPatternFallbackFactor * effective_interval()) {
-    if (engine_tier() == EngineTier::kEpoch) {
-      epoch::span_fallback_begin(tel_, tel_id_, 0,
-                                 telemetry::FallbackReason::kNonPeriodicPattern);
-      const BulkOutcome ref = WearLeveler::write_cycle(pattern, data, count, bank);
-      epoch::span_fallback_end(tel_, tel_id_, ref.total.value(),
-                               telemetry::FallbackReason::kNonPeriodicPattern);
-      return ref;
-    }
-    return WearLeveler::write_cycle(pattern, data, count, bank);
-  }
-  // The epoch engine opens with an O(physical lines) uniform-content
-  // scan per call; bursts too short to amortize it (BPA's 256-write
-  // probes) take the windowed engine instead — same outcomes, no scan.
-  if (engine_tier() == EngineTier::kEpoch && count >= physical_lines()) {
-    return write_cycle_epoch(pattern, data, count, bank);
-  }
-  write_cycle_windowed(pattern, data, count, 0, bank, out);
-  return out;
-}
-
-void SecurityRefresh::write_cycle_windowed(std::span<const La> pattern,
-                                           const pcm::LineData& data, u64 count, u64 phase0,
-                                           pcm::PcmBank& bank, BulkOutcome& out) {
-  // The single global counter advances on every write, so windows are
-  // just the deficit; the CRP mapping only changes at real swaps.
-  const u64 period = pattern.size();
-  std::vector<Pa> pas;
-  std::vector<Pa> fresh;
-  std::vector<batch::LineSched> lines;
-  bool rebuild = true;
-  u64 phase = phase0;
-  u64 applied = 0;
-  while (applied < count && !bank.has_failure()) {
-    if (rebuild) {
-      fresh.resize(period);
-      for (u64 i = 0; i < period; ++i) fresh[i] = Pa{region_.translate(pattern[i].value())};
-      if (batch::adopt_if_changed(pas, fresh)) {
-        batch::build_line_scheds(pas, bank, lines);
-      }
-      rebuild = false;
-    }
-    const u64 iv = effective_interval();
-    const u64 deficit = counter_ >= iv ? 1 : iv - counter_;
-    u64 chunk = std::min(count - applied, deficit);
-    chunk = batch::cap_chunk_at_failure(lines, phase, chunk);
-    out.total += batch::apply_chunk(lines, data, phase, chunk, bank, tel_, tel_id_,
-                                    out.total.value());
-    applied += chunk;
-    counter_ += chunk;
-    phase = (phase + chunk) % period;
-    if (counter_ >= iv) {
-      counter_ = 0;
-      const u64 before = out.movements;
-      out.total += do_step(bank, &out.movements);
-      if (out.movements != before) rebuild = true;  // skipped steps move nothing
-    }
-  }
-  out.writes_applied += applied;
-}
-
-BulkOutcome SecurityRefresh::write_cycle_epoch(std::span<const La> pattern,
-                                               const pcm::LineData& data, u64 count,
-                                               pcm::PcmBank& bank) {
-  BulkOutcome out;
-  const u64 period = pattern.size();
-
-  // Pattern mapping + per-line schedules, rebuilt after any replayed CRP
-  // step that moved a line. `slots` is the sorted distinct pattern slots
-  // — the set every aggregated swap must avoid.
-  std::vector<Pa> pas;
-  std::vector<Pa> fresh;
-  std::vector<batch::LineSched> lines;
-  std::vector<u64> slots;
-  std::vector<u64> next_slots;
-  bool rebuild = true;
-  u64 phase = 0;
-
-  // One uniformity/headroom scan authorizes the whole call (DESIGN.md
-  // §15): aggregated swaps are data no-ops while every movement slot
-  // holds `uniform`, and cannot fail while the budget stays positive.
-  epoch::HeadroomBudget budget;
-  pcm::LineData uniform{};
-  bool scanned = false;
-
-  const auto windowed_tail = [&](telemetry::FallbackReason reason) {
-    epoch::span_fallback_begin(tel_, tel_id_, out.total.value(), reason);
-    write_cycle_windowed(pattern, data, count - out.writes_applied, phase, bank, out);
-    epoch::span_fallback_end(tel_, tel_id_, out.total.value(), reason);
-  };
-
-  while (out.writes_applied < count && !bank.has_failure()) {
-    if (rebuild) {
-      fresh.resize(period);
-      for (u64 i = 0; i < period; ++i) fresh[i] = Pa{region_.translate(pattern[i].value())};
-      if (batch::adopt_if_changed(pas, fresh)) {
-        batch::build_line_scheds(pas, bank, lines);
-        next_slots.clear();
-        for (const auto& ls : lines) next_slots.push_back(ls.pa.value());
-        std::sort(next_slots.begin(), next_slots.end());
-        // A slot leaving the pattern set re-joins the movement set
-        // carrying pattern-scale wear; fold its headroom into the budget.
-        if (scanned) {
-          for (const u64 s : slots) {
-            if (std::binary_search(next_slots.begin(), next_slots.end(), s)) continue;
-            const u64 limit = bank.line_endurance(Pa{s});
-            const u64 w = bank.wear(Pa{s});
-            const u64 h = limit > w ? limit - w : 0;
-            if (h < budget.remaining()) budget.seed(h);
-          }
-        }
-        slots.swap(next_slots);
-      }
-      rebuild = false;
-    }
-    if (!scanned) {
-      const epoch::ScanResult scan = epoch::scan_uniform(bank, cfg_.lines, slots);
-      if (!scan.uniform) {
-        windowed_tail(telemetry::FallbackReason::kNonUniformContent);
-        return out;
-      }
-      uniform = scan.content;
-      budget.seed(scan.min_headroom);
-      epoch::emit_projection(tel_, tel_id_, telemetry::kGlobalDomain, out.total.value(),
-                             count - out.writes_applied, telemetry::FallbackReason::kNone);
-      scanned = true;
-    }
-    const u64 iv = effective_interval();
-    if (counter_ >= iv) {  // interval shrank below the carried counter
-      windowed_tail(telemetry::FallbackReason::kPsiChange);
-      return out;
-    }
-    const u64 remaining = count - out.writes_applied;
-    const u64 deficit = iv - counter_;
-    // Triggers the remaining writes would fire: the first after `deficit`
-    // writes, then one per interval.
-    const u64 due = remaining < deficit ? 0 : 1 + (remaining - deficit) / iv;
-    // First upcoming CRP candidate whose swap touches a pattern slot (or
-    // the round end, whichever is closer); steps before it aggregate.
-    u64 boundary = region_.lines();
-    for (const u64 s : slots) boundary = std::min(boundary, region_.next_touch(s));
-    const u64 crp = region_.crp();
-    const u64 safe_steps = boundary > crp ? boundary - crp : 0;
-
-    u64 jump;   // writes this jump covers
-    u64 steps;  // CRP steps aggregated inside it
-    bool replay;
-    if (due <= safe_steps) {
-      jump = remaining;
-      steps = due;
-      replay = false;
-    } else {
-      jump = deficit + safe_steps * iv;  // through the boundary trigger's write
-      steps = safe_steps;
-      replay = true;
-    }
-
-    // Endurance cap: the write whose pattern hit would record the bank's
-    // first failure. Anywhere inside the jump → windowed tail (exact).
-    u64 lfail = batch::kUnbounded;
-    for (const auto& ls : lines) {
-      lfail = std::min(lfail, ls.hits.until_nth(phase, ls.remaining));
-    }
-    if (lfail <= jump) {
-      windowed_tail(telemetry::FallbackReason::kNearFailure);
-      return out;
-    }
-    // Movement-slot wear: one round touches each slot at most once, so the
-    // aggregated swaps cost one unit per slot; the replayed boundary step
-    // can open a *new* round and re-touch an already-swept slot, so a
-    // second unit covers its (checked) wear too.
-    if (steps > 0 && !budget.spend(2)) {
-      const epoch::ScanResult scan = epoch::scan_uniform(bank, cfg_.lines, slots);
-      if (!scan.uniform || !(budget.seed(scan.min_headroom), budget.spend(2))) {
-        // genuinely near a movement-slot failure
-        windowed_tail(telemetry::FallbackReason::kNearFailure);
-        return out;
-      }
-      uniform = scan.content;
-      epoch::emit_projection(tel_, tel_id_, telemetry::kGlobalDomain, out.total.value(),
-                             count - out.writes_applied, telemetry::FallbackReason::kNone);
-    }
-
-    const u64 jump_t0 = out.total.value();
-    // Pattern wear/data: one failure-checked bulk write per distinct PA.
-    for (auto& ls : lines) {
-      const u64 h = ls.hits.hits_in(phase, jump);
-      if (h == 0) continue;
-      out.total += bank.bulk_write(ls.pa, data, h);
-      ls.remaining -= h;
-    }
-    // Aggregated swaps: wear-only; contents are all `uniform`, so the
-    // permutation they induce is invisible and latency is uniform.
-    if (steps > 0) {
-      const std::span<u64> wear = bank.wear_mut();
-      const u64 fired =
-          region_.advance_steps(steps, [&wear](u64 a, u64 b) { ++wear[a], ++wear[b]; });
-      bank.note_writes_unchecked(2 * fired);
-      out.total += pcm::swap_latency(bank.config(), uniform.cls, uniform.cls) * fired;
-      out.movements += fired;
-    }
-    out.writes_applied += jump;
-    phase = (phase + jump) % period;
-    epoch::emit_jump(tel_, tel_id_, telemetry::kGlobalDomain, jump, steps, jump_t0,
-                     out.total.value());
-    if (replay) {
-      counter_ = 0;
-      const u64 before = out.movements;
-      out.total += do_step(bank, &out.movements);
-      if (out.movements != before) rebuild = true;
-    } else {
-      counter_ = counter_ + jump - steps * iv;
-    }
-  }
-  return out;
-}
-
-BulkOutcome SecurityRefresh::write_repeated(La la, const pcm::LineData& data, u64 count,
-                                            pcm::PcmBank& bank) {
-  BulkOutcome out;
-  while (out.writes_applied < count && !bank.has_failure()) {
-    const u64 iv = effective_interval();
-    const u64 until = counter_ >= iv ? 1 : iv - counter_;
-    const u64 chunk = std::min(count - out.writes_applied, until);
-    out.total += bank.bulk_write(translate(la), data, chunk);
-    out.writes_applied += chunk;
-    counter_ += chunk;
-    if (counter_ >= iv && !bank.has_failure()) {
-      counter_ = 0;
-      out.total += do_step(bank, &out.movements);
-    }
-  }
-  return out;
+  return {steps};
 }
 
 }  // namespace srbsg::wl

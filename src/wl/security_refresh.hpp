@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "wl/engine.hpp"
 #include "wl/security_refresh_region.hpp"
-#include "wl/wear_leveler.hpp"
 
 namespace srbsg::wl {
 
@@ -18,22 +18,13 @@ struct SecurityRefreshConfig {
   void validate() const;
 };
 
-class SecurityRefresh final : public WearLeveler {
+class SecurityRefresh final : public BulkEngine<SecurityRefresh> {
  public:
   explicit SecurityRefresh(const SecurityRefreshConfig& cfg);
 
   [[nodiscard]] std::string_view name() const override { return "sr1"; }
   [[nodiscard]] u64 logical_lines() const override { return cfg_.lines; }
   [[nodiscard]] u64 physical_lines() const override { return cfg_.lines; }
-  [[nodiscard]] Pa translate(La la) const override;
-
-  WriteOutcome write(La la, const pcm::LineData& data, pcm::PcmBank& bank) override;
-  BulkOutcome write_repeated(La la, const pcm::LineData& data, u64 count,
-                             pcm::PcmBank& bank) override;
-  BulkOutcome write_batch(std::span<const La> las, const pcm::LineData& data,
-                          pcm::PcmBank& bank) override;
-  BulkOutcome write_cycle(std::span<const La> pattern, const pcm::LineData& data, u64 count,
-                          pcm::PcmBank& bank) override;
 
   [[nodiscard]] const SecurityRefreshRegion& region() const { return region_; }
 
@@ -41,35 +32,29 @@ class SecurityRefresh final : public WearLeveler {
   /// SR movements are swaps: two line writes each.
   [[nodiscard]] u32 writes_per_movement() const override { return 2; }
 
-  void set_rate_boost(u32 log2_divisor) override {
-    check_lt(log2_divisor, u32{64}, "set_rate_boost: boost shifts past the interval width");
-    boost_ = log2_divisor;
-  }
-  [[nodiscard]] u64 effective_interval() const {
-    const u64 iv = cfg_.interval >> boost_;
-    return iv == 0 ? 1 : iv;
-  }
+  [[nodiscard]] u64 effective_interval() const { return boosted(cfg_.interval); }
 
  private:
+  friend class BulkEngine<SecurityRefresh>;
+
+  // Remapping rule (wl/engine.hpp): every ψ writes to the bank advance
+  // the CRP by one step.
+  static constexpr bool kGlobalCounter = true;
+  static constexpr Fold kFold = Fold::kUniform;
+  [[nodiscard]] Loc locate(u64 la) const { return {Pa{region_.translate(la)}}; }
+  [[nodiscard]] u64& global_counter() { return counter_; }
+  [[nodiscard]] u64 global_interval() const { return effective_interval(); }
   /// Performs one CRP step; returns the swap latency (0 when skipped).
-  Ns do_step(pcm::PcmBank& bank, u64* movements);
-
-  /// PR-4 windowed engine, continuing from pattern phase `phase0` for up
-  /// to `count` more writes; accumulates into `out`. The epoch path calls
-  /// this as its fallback tail.
-  void write_cycle_windowed(std::span<const La> pattern, const pcm::LineData& data, u64 count,
-                            u64 phase0, pcm::PcmBank& bank, BulkOutcome& out);
-
-  /// Epoch fast-forward engine (DESIGN.md §15): analytic jumps over whole
-  /// refresh epochs, replaying only the CRP steps that touch a pattern
-  /// slot or wrap the round.
-  BulkOutcome write_cycle_epoch(std::span<const La> pattern, const pcm::LineData& data,
-                                u64 count, pcm::PcmBank& bank);
+  Ns fire_global(pcm::PcmBank& bank, u64& moved);
+  /// Epoch fold: aggregated refresh steps between replayed steps that
+  /// touch a pattern slot or wrap the round.
+  [[nodiscard]] EpochPlan epoch_plan(const batch::Window& w, u64 remaining) const;
+  FoldResult epoch_fold(const EpochPlan& p, const batch::Window& w, u64 done, u64 jump,
+                        const pcm::LineData& uniform, pcm::PcmBank& bank, BulkOutcome& out);
 
   SecurityRefreshConfig cfg_;
   SecurityRefreshRegion region_;
   u64 counter_{0};
-  u32 boost_{0};
 };
 
 }  // namespace srbsg::wl

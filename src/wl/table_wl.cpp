@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "telemetry/telemetry.hpp"
-#include "wl/batch.hpp"
 
 namespace srbsg::wl {
 
@@ -25,11 +24,6 @@ TableWearLeveling::TableWearLeveling(const TableWlConfig& cfg) : cfg_(cfg) {
   total_.assign(cfg_.lines, 0);
 }
 
-Pa TableWearLeveling::translate(La la) const {
-  check(la.value() < cfg_.lines, "TableWearLeveling: address out of range");
-  return Pa{la_to_pa_[la.value()]};
-}
-
 TableWearLeveling::SwapPrediction TableWearLeveling::predict_next_swap() const {
   u64 hot = 0, cold = 0;
   for (u64 pa = 1; pa < cfg_.lines; ++pa) {
@@ -39,7 +33,7 @@ TableWearLeveling::SwapPrediction TableWearLeveling::predict_next_swap() const {
   return {hot, cold};
 }
 
-Ns TableWearLeveling::do_swap(pcm::PcmBank& bank, u64* movements) {
+Ns TableWearLeveling::fire_global(pcm::PcmBank& bank, u64& moved) {
   if (tel_ != nullptr) {
     tel_->emit(telemetry::EventType::kRemapTriggered, tel_id_, telemetry::kGlobalDomain,
                telemetry::kLevelInner, 0);
@@ -59,24 +53,8 @@ Ns TableWearLeveling::do_swap(pcm::PcmBank& bank, u64* movements) {
   residual_[pred.cold_pa] = 0;
   ++total_[pred.hot_pa];  // the swap itself writes both lines
   ++total_[pred.cold_pa];
-  if (movements) ++*movements;
+  ++moved;
   return lat;
-}
-
-WriteOutcome TableWearLeveling::write(La la, const pcm::LineData& data, pcm::PcmBank& bank) {
-  WriteOutcome out;
-  const Pa pa = translate(la);
-  out.total = bank.write(pa, data);
-  ++residual_[pa.value()];
-  ++total_[pa.value()];
-  if (++counter_ >= effective_interval()) {
-    counter_ = 0;
-    u64 moved = 0;
-    out.stall = do_swap(bank, &moved);
-    out.movements = checked_narrow<u32>(moved);
-    out.total += out.stall;
-  }
-  return out;
 }
 
 void TableWearLeveling::validate_state() const {
@@ -90,106 +68,6 @@ void TableWearLeveling::validate_state() const {
     check_le(residual_[pa], total_[pa],
              "TableWearLeveling: residual wear exceeds lifetime wear");
   }
-}
-
-BulkOutcome TableWearLeveling::write_batch(std::span<const La> las, const pcm::LineData& data,
-                                           pcm::PcmBank& bank) {
-  for (const La la : las) {
-    check(la.value() < cfg_.lines, "TableWearLeveling: address out of range");
-  }
-  return batch::run_compressed_batch(
-      *this, las, data, bank, [&](La la, BulkOutcome& out) {
-        const Pa pa{la_to_pa_[la.value()]};
-        out.total += bank.write(pa, data);
-        ++out.writes_applied;
-        ++residual_[pa.value()];
-        ++total_[pa.value()];
-        if (++counter_ >= effective_interval()) {
-          counter_ = 0;
-          out.total += do_swap(bank, &out.movements);
-        }
-      });
-}
-
-BulkOutcome TableWearLeveling::write_cycle(std::span<const La> pattern, const pcm::LineData& data,
-                                           u64 count, pcm::PcmBank& bank) {
-  BulkOutcome out;
-  if (count == 0) return out;
-  check(!pattern.empty(), "write_cycle: empty pattern with writes requested");
-  for (const La la : pattern) {
-    check(la.value() < cfg_.lines, "TableWearLeveling: address out of range");
-  }
-  const u64 period = pattern.size();
-  if (engine_tier() == EngineTier::kReference) {
-    return WearLeveler::write_cycle(pattern, data, count, bank);
-  }
-  if (period > batch::kPatternFallbackFactor * effective_interval()) {
-    return WearLeveler::write_cycle(pattern, data, count, bank);
-  }
-  std::vector<Pa> pas;
-  std::vector<Pa> fresh;
-  std::vector<batch::LineSched> lines;
-  bool rebuild = true;
-  u64 phase = 0;
-  while (out.writes_applied < count && !bank.has_failure()) {
-    if (rebuild) {
-      fresh.resize(period);
-      for (u64 i = 0; i < period; ++i) fresh[i] = Pa{la_to_pa_[pattern[i].value()]};
-      if (batch::adopt_if_changed(pas, fresh)) {
-        batch::build_line_scheds(pas, bank, lines);
-      }
-      rebuild = false;
-    }
-    const u64 iv = effective_interval();
-    const u64 deficit = counter_ >= iv ? 1 : iv - counter_;
-    u64 chunk = std::min(count - out.writes_applied, deficit);
-    chunk = batch::cap_chunk_at_failure(lines, phase, chunk);
-    // Applied inline (not batch::apply_chunk) because the scheme's own
-    // wear book-keeping advances with the data writes.
-    if (tel_ != nullptr && chunk > 0) {
-      tel_->emit(telemetry::EventType::kBatchChunkApplied, tel_id_, telemetry::kGlobalDomain,
-                 phase, chunk);
-    }
-    for (auto& ls : lines) {
-      const u64 h = ls.hits.hits_in(phase, chunk);
-      if (h == 0) continue;
-      out.total += bank.bulk_write(ls.pa, data, h);
-      residual_[ls.pa.value()] += h;
-      total_[ls.pa.value()] += h;
-      ls.remaining = ls.remaining > h ? ls.remaining - h : 0;
-    }
-    out.writes_applied += chunk;
-    counter_ += chunk;
-    phase = (phase + chunk) % period;
-    if (counter_ >= iv) {
-      counter_ = 0;
-      const u64 before = out.movements;
-      out.total += do_swap(bank, &out.movements);
-      if (out.movements != before) rebuild = true;  // hot==cold swaps nothing
-    }
-  }
-  return out;
-}
-
-BulkOutcome TableWearLeveling::write_repeated(La la, const pcm::LineData& data, u64 count,
-                                              pcm::PcmBank& bank) {
-  BulkOutcome out;
-  while (out.writes_applied < count && !bank.has_failure()) {
-    const u64 iv = effective_interval();
-    const u64 until = counter_ >= iv ? 1 : iv - counter_;
-    const u64 chunk = std::min(count - out.writes_applied, until);
-    const Pa pa = translate(la);
-    out.total += bank.bulk_write(pa, data, chunk);
-    residual_[pa.value()] += chunk;
-    total_[pa.value()] += chunk;
-    out.writes_applied += chunk;
-    counter_ += chunk;
-    if (counter_ >= iv && !bank.has_failure()) {
-      counter_ = 0;
-      out.total += do_swap(bank, &out.movements);
-    }
-  }
-  return out;
 }
 
 }  // namespace srbsg::wl

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "wl/wear_leveler.hpp"
+#include "wl/engine.hpp"
 
 namespace srbsg::wl {
 
@@ -27,22 +27,13 @@ struct TableWlConfig {
   void validate() const;
 };
 
-class TableWearLeveling final : public WearLeveler {
+class TableWearLeveling final : public BulkEngine<TableWearLeveling> {
  public:
   explicit TableWearLeveling(const TableWlConfig& cfg);
 
   [[nodiscard]] std::string_view name() const override { return "table"; }
   [[nodiscard]] u64 logical_lines() const override { return cfg_.lines; }
   [[nodiscard]] u64 physical_lines() const override { return cfg_.lines; }
-  [[nodiscard]] Pa translate(La la) const override;
-
-  WriteOutcome write(La la, const pcm::LineData& data, pcm::PcmBank& bank) override;
-  BulkOutcome write_repeated(La la, const pcm::LineData& data, u64 count,
-                             pcm::PcmBank& bank) override;
-  BulkOutcome write_batch(std::span<const La> las, const pcm::LineData& data,
-                          pcm::PcmBank& bank) override;
-  BulkOutcome write_cycle(std::span<const La> pattern, const pcm::LineData& data, u64 count,
-                          pcm::PcmBank& bank) override;
 
   /// The LA→PA and PA→LA tables must stay mutually inverse permutations;
   /// per-line residual counters can never exceed lifetime totals.
@@ -50,14 +41,7 @@ class TableWearLeveling final : public WearLeveler {
   /// Table WL movements are hot/cold swaps: two line writes each.
   [[nodiscard]] u32 writes_per_movement() const override { return 2; }
 
-  void set_rate_boost(u32 log2_divisor) override {
-    check_lt(log2_divisor, u32{64}, "set_rate_boost: boost shifts past the interval width");
-    boost_ = log2_divisor;
-  }
-  [[nodiscard]] u64 effective_interval() const {
-    const u64 iv = cfg_.interval >> boost_;
-    return iv == 0 ? 1 : iv;
-  }
+  [[nodiscard]] u64 effective_interval() const { return boosted(cfg_.interval); }
 
   /// The determinism the paper criticizes: given the same write sequence,
   /// the next swap pair is fully predictable (exposed for the tests that
@@ -69,7 +53,21 @@ class TableWearLeveling final : public WearLeveler {
   [[nodiscard]] SwapPrediction predict_next_swap() const;
 
  private:
-  Ns do_swap(pcm::PcmBank& bank, u64* movements);
+  friend class BulkEngine<TableWearLeveling>;
+
+  // Remapping rule (wl/engine.hpp): every ψ writes to the bank swap the
+  // hottest line with the coldest one.
+  static constexpr bool kGlobalCounter = true;
+  [[nodiscard]] Loc locate(u64 la) const { return {Pa{la_to_pa_[la]}}; }
+  [[nodiscard]] u64& global_counter() { return counter_; }
+  [[nodiscard]] u64 global_interval() const { return effective_interval(); }
+  /// The scheme's own wear view advances with every data write.
+  void note_data_writes(Pa pa, u64 writes) {
+    residual_[pa.value()] += writes;
+    total_[pa.value()] += writes;
+  }
+  /// One hot/cold swap (0 latency when hot == cold).
+  Ns fire_global(pcm::PcmBank& bank, u64& moved);
 
   TableWlConfig cfg_;
   std::vector<u64> la_to_pa_;
@@ -77,7 +75,6 @@ class TableWearLeveling final : public WearLeveler {
   std::vector<u64> residual_;  ///< writes since the line's last swap (by PA)
   std::vector<u64> total_;     ///< lifetime writes per PA (scheme's own view)
   u64 counter_{0};
-  u32 boost_{0};
 };
 
 }  // namespace srbsg::wl

@@ -5,8 +5,6 @@
 #include "common/bitops.hpp"
 #include "common/check.hpp"
 #include "telemetry/telemetry.hpp"
-#include "wl/batch.hpp"
-#include "wl/epoch.hpp"
 
 namespace srbsg::wl {
 
@@ -36,12 +34,7 @@ Pa TwoLevelSecurityRefresh::ia_to_pa(u64 ia) const {
   return Pa{(q << region_bits_) | inner_[q].translate(off)};
 }
 
-Pa TwoLevelSecurityRefresh::translate(La la) const {
-  check(la.value() < cfg_.lines, "TwoLevelSecurityRefresh: address out of range");
-  return ia_to_pa(outer_.translate(la.value()));
-}
-
-Ns TwoLevelSecurityRefresh::do_inner_step(u64 q, pcm::PcmBank& bank, u64* movements) {
+Ns TwoLevelSecurityRefresh::fire_domain(u64 q, pcm::PcmBank& bank, u64& moved) {
   if (tel_ != nullptr) {
     tel_->emit(telemetry::EventType::kRemapTriggered, tel_id_, checked_narrow<u32>(q),
                telemetry::kLevelInner, 0);
@@ -52,7 +45,7 @@ Ns TwoLevelSecurityRefresh::do_inner_step(u64 q, pcm::PcmBank& bank, u64* moveme
     tel_->emit(telemetry::EventType::kKeyRerandomized, tel_id_, checked_narrow<u32>(q), 0, 0);
   }
   if (!swap) return Ns{0};
-  if (movements) ++*movements;
+  ++moved;
   const u64 base = q << region_bits_;
   const Pa pa{base | swap->a};
   const Pa pb{base | swap->b};
@@ -63,7 +56,7 @@ Ns TwoLevelSecurityRefresh::do_inner_step(u64 q, pcm::PcmBank& bank, u64* moveme
   return bank.swap_lines(pa, pb);
 }
 
-Ns TwoLevelSecurityRefresh::do_outer_step(pcm::PcmBank& bank, u64* movements) {
+Ns TwoLevelSecurityRefresh::fire_global(pcm::PcmBank& bank, u64& moved) {
   if (tel_ != nullptr) {
     tel_->emit(telemetry::EventType::kRemapTriggered, tel_id_, telemetry::kGlobalDomain,
                telemetry::kLevelOuter, 0);
@@ -76,7 +69,7 @@ Ns TwoLevelSecurityRefresh::do_outer_step(pcm::PcmBank& bank, u64* movements) {
     tel_->emit(telemetry::EventType::kKeyRerandomized, tel_id_, telemetry::kGlobalDomain, 0, 0);
   }
   if (!swap) return Ns{0};
-  if (movements) ++*movements;
+  ++moved;
   const Pa pa = ia_to_pa(swap->a);
   const Pa pb = ia_to_pa(swap->b);
   if (tel_ != nullptr) {
@@ -84,28 +77,6 @@ Ns TwoLevelSecurityRefresh::do_outer_step(pcm::PcmBank& bank, u64* movements) {
                pb.value());
   }
   return bank.swap_lines(pa, pb);
-}
-
-WriteOutcome TwoLevelSecurityRefresh::write(La la, const pcm::LineData& data,
-                                            pcm::PcmBank& bank) {
-  const u64 ia = outer_.translate(la.value());
-  const u64 q = ia >> region_bits_;
-  WriteOutcome out;
-  out.total = bank.write(ia_to_pa(ia), data);
-  u64 moved = 0;
-  Ns stall{0};
-  if (++inner_counter_[q] >= effective_inner_interval()) {
-    inner_counter_[q] = 0;
-    stall += do_inner_step(q, bank, &moved);
-  }
-  if (++outer_counter_ >= effective_outer_interval()) {
-    outer_counter_ = 0;
-    stall += do_outer_step(bank, &moved);
-  }
-  out.stall = stall;
-  out.movements = checked_narrow<u32>(moved);
-  out.total += stall;
-  return out;
 }
 
 void TwoLevelSecurityRefresh::validate_state() const {
@@ -119,418 +90,131 @@ void TwoLevelSecurityRefresh::validate_state() const {
   }
 }
 
-BulkOutcome TwoLevelSecurityRefresh::write_batch(std::span<const La> las,
-                                                 const pcm::LineData& data, pcm::PcmBank& bank) {
-  for (const La la : las) {
-    check(la.value() < cfg_.lines, "TwoLevelSecurityRefresh: address out of range");
-  }
-  return batch::run_compressed_batch(
-      *this, las, data, bank, [&](La la, BulkOutcome& out) {
-        const u64 ia = outer_.translate(la.value());
-        const u64 q = ia >> region_bits_;
-        out.total += bank.write(ia_to_pa(ia), data);
-        ++out.writes_applied;
-        if (++inner_counter_[q] >= effective_inner_interval()) {
-          inner_counter_[q] = 0;
-          out.total += do_inner_step(q, bank, &out.movements);
-        }
-        if (++outer_counter_ >= effective_outer_interval()) {
-          outer_counter_ = 0;
-          out.total += do_outer_step(bank, &out.movements);
-        }
-      });
-}
-
-BulkOutcome TwoLevelSecurityRefresh::write_cycle(std::span<const La> pattern,
-                                                 const pcm::LineData& data, u64 count,
-                                                 pcm::PcmBank& bank) {
-  BulkOutcome out;
-  if (count == 0) return out;
-  check(!pattern.empty(), "write_cycle: empty pattern with writes requested");
-  for (const La la : pattern) {
-    check(la.value() < cfg_.lines, "TwoLevelSecurityRefresh: address out of range");
-  }
-  const u64 period = pattern.size();
-  if (engine_tier() == EngineTier::kReference) {
-    return WearLeveler::write_cycle(pattern, data, count, bank);
-  }
-  const u64 min_iv = std::min(effective_inner_interval(), effective_outer_interval());
-  if (period > batch::kPatternFallbackFactor * min_iv) {
-    if (engine_tier() == EngineTier::kEpoch) {
-      epoch::span_fallback_begin(tel_, tel_id_, 0,
-                                 telemetry::FallbackReason::kNonPeriodicPattern);
-      const BulkOutcome ref = WearLeveler::write_cycle(pattern, data, count, bank);
-      epoch::span_fallback_end(tel_, tel_id_, ref.total.value(),
-                               telemetry::FallbackReason::kNonPeriodicPattern);
-      return ref;
-    }
-    return WearLeveler::write_cycle(pattern, data, count, bank);
-  }
-  // The epoch engine opens with an O(physical lines) uniform-content
-  // scan per call; bursts too short to amortize it (BPA's 256-write
-  // probes) take the windowed engine instead — same outcomes, no scan.
-  if (engine_tier() == EngineTier::kEpoch && count >= physical_lines()) {
-    return write_cycle_epoch(pattern, data, count, bank);
-  }
-  write_cycle_windowed(pattern, data, count, 0, bank, out);
-  return out;
-}
-
-void TwoLevelSecurityRefresh::write_cycle_windowed(std::span<const La> pattern,
-                                                   const pcm::LineData& data, u64 count,
-                                                   u64 phase0, pcm::PcmBank& bank,
-                                                   BulkOutcome& out) {
-  const u64 period = pattern.size();
-  // Outer swaps re-shard the pattern across sub-regions, so domain keys
-  // are revalidated together with the line schedules.
-  std::vector<u64> keys;
-  std::vector<u64> keys_fresh;
-  std::vector<Pa> pas;
-  std::vector<Pa> pas_fresh;
-  std::vector<batch::DomainSched> doms;
-  std::vector<batch::LineSched> lines;
-  bool rebuild = true;
-  u64 phase = phase0;
-  u64 applied = 0;
-  while (applied < count && !bank.has_failure()) {
-    if (rebuild) {
-      keys_fresh.resize(period);
-      pas_fresh.resize(period);
-      for (u64 i = 0; i < period; ++i) {
-        const u64 ia = outer_.translate(pattern[i].value());
-        keys_fresh[i] = ia >> region_bits_;
-        pas_fresh[i] = ia_to_pa(ia);
-      }
-      if (batch::adopt_if_changed(keys, keys_fresh)) {
-        batch::build_domain_scheds(keys, doms);
-      }
-      if (batch::adopt_if_changed(pas, pas_fresh)) {
-        batch::build_line_scheds(pas, bank, lines);
-      }
-      rebuild = false;
-    }
-    const u64 iv_in = effective_inner_interval();
-    const u64 iv_out = effective_outer_interval();
-    const u64 until_outer = outer_counter_ >= iv_out ? 1 : iv_out - outer_counter_;
-    u64 chunk = std::min(count - applied, until_outer);
-    for (const auto& d : doms) {
-      const u64 deficit =
-          inner_counter_[d.key] >= iv_in ? 1 : iv_in - inner_counter_[d.key];
-      chunk = std::min(chunk, d.hits.until_nth(phase, deficit));
-    }
-    chunk = batch::cap_chunk_at_failure(lines, phase, chunk);
-    out.total += batch::apply_chunk(lines, data, phase, chunk, bank, tel_, tel_id_,
-                                    out.total.value());
-    applied += chunk;
-    const u64 chunk_phase = phase;
-    for (const auto& d : doms) inner_counter_[d.key] += d.hits.hits_in(phase, chunk);
-    outer_counter_ += chunk;
-    phase = (phase + chunk) % period;
-    // Fire in write()'s order: the (single) inner region that reached
-    // ψ_in *through a write in this chunk*, then the outer step — even
-    // when the chunk's last write recorded the failure. A region whose
-    // counter already sits past a shrunken ψ_in (detector boost raised
-    // mid-stream) but that received no write here must wait for its next
-    // write, like the per-write path.
-    for (const auto& d : doms) {
-      if (inner_counter_[d.key] >= iv_in && d.hits.hits_in(chunk_phase, chunk) > 0) {
-        inner_counter_[d.key] = 0;
-        const u64 before = out.movements;
-        out.total += do_inner_step(d.key, bank, &out.movements);
-        if (out.movements != before) rebuild = true;
-      }
-    }
-    if (outer_counter_ >= iv_out) {
-      outer_counter_ = 0;
-      const u64 before = out.movements;
-      out.total += do_outer_step(bank, &out.movements);
-      if (out.movements != before) rebuild = true;
-    }
-  }
-  out.writes_applied += applied;
-}
-
-BulkOutcome TwoLevelSecurityRefresh::write_cycle_epoch(std::span<const La> pattern,
-                                                       const pcm::LineData& data, u64 count,
-                                                       pcm::PcmBank& bank) {
-  BulkOutcome out;
-  const u64 period = pattern.size();
+EpochPlan TwoLevelSecurityRefresh::epoch_plan(const batch::Window& w, u64 remaining) const {
+  const u64 iv_in = effective_inner_interval();
+  const u64 iv_out = effective_outer_interval();
   const u64 rl = cfg_.region_lines();
   const u64 omask = low_mask(region_bits_);
+  const u64 period = w.keys.size();
 
-  // Pattern mapping + schedules, rebuilt after every replayed trigger.
-  // Outer swaps re-shard, so IAs/keys/domains recompute alongside PAs.
-  std::vector<u64> ias(period);
-  std::vector<u64> keys(period);
-  std::vector<batch::DomainSched> doms;
-  std::vector<Pa> pas;
-  std::vector<Pa> fresh;
-  std::vector<batch::LineSched> lines;
-  std::vector<u64> slots;
-  std::vector<u64> next_slots;
-  bool rebuild = true;
-  u64 phase = 0;
-
-  epoch::HeadroomBudget budget;
-  pcm::LineData uniform{};
-  bool scanned = false;
-
-  const auto windowed_tail = [&](telemetry::FallbackReason reason) {
-    epoch::span_fallback_begin(tel_, tel_id_, out.total.value(), reason);
-    write_cycle_windowed(pattern, data, count - out.writes_applied, phase, bank, out);
-    epoch::span_fallback_end(tel_, tel_id_, out.total.value(), reason);
-  };
-
-  while (out.writes_applied < count && !bank.has_failure()) {
-    if (rebuild) {
-      for (u64 i = 0; i < period; ++i) {
-        ias[i] = outer_.translate(pattern[i].value());
-        keys[i] = ias[i] >> region_bits_;
-      }
-      batch::build_domain_scheds(keys, doms);
-      fresh.resize(period);
-      for (u64 i = 0; i < period; ++i) fresh[i] = ia_to_pa(ias[i]);
-      if (batch::adopt_if_changed(pas, fresh)) {
-        batch::build_line_scheds(pas, bank, lines);
-        next_slots.clear();
-        for (const auto& ls : lines) next_slots.push_back(ls.pa.value());
-        std::sort(next_slots.begin(), next_slots.end());
-        // A slot leaving the pattern set re-joins the movement set
-        // carrying pattern-scale wear; fold its headroom into the budget.
-        if (scanned) {
-          for (const u64 s : slots) {
-            if (std::binary_search(next_slots.begin(), next_slots.end(), s)) continue;
-            const u64 limit = bank.line_endurance(Pa{s});
-            const u64 w = bank.wear(Pa{s});
-            const u64 h = limit > w ? limit - w : 0;
-            if (h < budget.remaining()) budget.seed(h);
-          }
-        }
-        slots.swap(next_slots);
-      }
-      rebuild = false;
-    }
-    if (!scanned) {
-      const epoch::ScanResult scan = epoch::scan_uniform(bank, cfg_.lines, slots);
-      if (!scan.uniform) {
-        windowed_tail(telemetry::FallbackReason::kNonUniformContent);
-        return out;
-      }
-      uniform = scan.content;
-      budget.seed(scan.min_headroom);
-      epoch::emit_projection(tel_, tel_id_, telemetry::kGlobalDomain, out.total.value(),
-                             count - out.writes_applied, telemetry::FallbackReason::kNone);
-      scanned = true;
-    }
-    const u64 iv_in = effective_inner_interval();
-    const u64 iv_out = effective_outer_interval();
-    bool overrun = outer_counter_ >= iv_out;  // interval shrank below a carried counter
-    for (const auto& d : doms) overrun = overrun || inner_counter_[d.key] >= iv_in;
-    if (overrun) {
-      windowed_tail(telemetry::FallbackReason::kPsiChange);
-      return out;
-    }
-    const u64 remaining = count - out.writes_applied;
-
-    // Next replayed trigger, as a 1-based write index. Outer level: the
-    // round wrap (rekey) or a swap whose endpoint is a pattern IA; the
-    // n-th outer trigger lands on every iv_out-th write.
-    u64 b_out = batch::kUnbounded;
-    {
-      const u64 ocrp = outer_.crp();
-      u64 js = 0;  // CRP steps until the special one; 0 at boot/wrap (rekey)
-      if (ocrp < outer_.lines()) {
-        js = outer_.lines() - ocrp;
-        for (u64 i = 0; i < period; ++i) {
-          const u64 t = outer_.next_touch(ias[i]);
-          if (t < outer_.lines()) js = std::min(js, t - ocrp);
-        }
-      }
-      b_out = (iv_out - outer_counter_) + js * iv_out;
-    }
-    // Inner level, per pattern-active sub-region (inactive regions take
-    // no writes, so their inner state is frozen for the whole call).
-    u64 b_in = batch::kUnbounded;
-    for (const auto& d : doms) {
-      const auto& reg = inner_[d.key];
-      const u64 icrp = reg.crp();
-      u64 js = 0;
-      if (icrp < rl) {
-        js = rl - icrp;
-        for (u64 i = 0; i < period; ++i) {
-          if (keys[i] != d.key) continue;
-          // next_touch wants the *physical* slot the pattern line sits in.
-          const u64 t = reg.next_touch(pas[i].value() & omask);
-          if (t < rl) js = std::min(js, t - icrp);
-        }
-      }
-      const u64 at = d.hits.until_nth(phase, (iv_in - inner_counter_[d.key]) + js * iv_in);
-      b_in = std::min(b_in, at);
-    }
-    const u64 boundary = std::min(b_out, b_in);
-    const bool replay = boundary <= remaining;
-    // The jump covers the boundary write itself (triggers fire after the
-    // write, under the pre-trigger mapping); only the special trigger(s)
-    // replay live.
-    const u64 jump = std::min(remaining, boundary);
-
-    // Endurance cap over the pattern lines → windowed tail (exact).
-    u64 lfail = batch::kUnbounded;
-    for (const auto& ls : lines) {
-      lfail = std::min(lfail, ls.hits.until_nth(phase, ls.remaining));
-    }
-    if (lfail <= jump) {
-      windowed_tail(telemetry::FallbackReason::kNearFailure);
-      return out;
-    }
-    // Movement-slot wear: one jump stays inside one outer round and one
-    // Movement-slot wear per jump: aggregated sweeps stay inside one round
-    // per level, where fired swaps touch each slot exactly once — at most
-    // one inner endpoint plus (a PA's resident IA changing at most once
-    // mid-jump) two outer endpoints. The replayed boundary step(s) can
-    // open a *new* round at either level and re-touch an already-swept
-    // slot, adding one checked wear each. Five budget units cover it all.
-    if (!budget.spend(5)) {
-      const epoch::ScanResult scan = epoch::scan_uniform(bank, cfg_.lines, slots);
-      if (!scan.uniform || !(budget.seed(scan.min_headroom), budget.spend(5))) {
-        // genuinely near a movement-slot failure
-        windowed_tail(telemetry::FallbackReason::kNearFailure);
-        return out;
-      }
-      uniform = scan.content;
-      epoch::emit_projection(tel_, tel_id_, telemetry::kGlobalDomain, out.total.value(),
-                             count - out.writes_applied, telemetry::FallbackReason::kNone);
-    }
-
-    const u64 jump_t0 = out.total.value();
-    // Pattern wear/data: one failure-checked bulk write per distinct PA.
-    for (auto& ls : lines) {
-      const u64 h = ls.hits.hits_in(phase, jump);
-      if (h == 0) continue;
-      out.total += bank.bulk_write(ls.pa, data, h);
-      ls.remaining -= h;
-    }
-
-    // When replaying, *every* trigger due at the boundary write fires
-    // live (not just the special one): aggregated sweeps then stay
-    // strictly before the boundary, where no pattern slot moves — so
-    // their unchecked endpoint wear provably lands on budgeted movement
-    // slots only, in reference order.
-    const u64 oc0 = outer_counter_;
-    bool outer_live = false;
-    bool inner_live = false;
-    u64 q_b = 0;
-    if (replay) {
-      outer_live = (oc0 + boundary) % iv_out == 0;
-      q_b = keys[(phase + boundary - 1) % period];
-      for (const auto& d : doms) {
-        if (d.key != q_b) continue;
-        inner_live = (inner_counter_[d.key] + d.hits.hits_in(phase, boundary)) % iv_in == 0;
-        break;
+  // Next replayed trigger, as a 1-based write index. Outer level: the
+  // round wrap (rekey) or a swap whose endpoint is a pattern IA; the
+  // n-th outer trigger lands on every iv_out-th write.
+  u64 b_out = batch::kUnbounded;
+  {
+    const u64 ocrp = outer_.crp();
+    u64 js = 0;  // CRP steps until the special one; 0 at boot/wrap (rekey)
+    if (ocrp < outer_.lines()) {
+      js = outer_.lines() - ocrp;
+      for (const u64 ia : w.ias) {
+        const u64 t = outer_.next_touch(ia);
+        if (t < outer_.lines()) js = std::min(js, t - ocrp);
       }
     }
-    u64 agg_steps = 0;
-    u64 fired = 0;
-    const std::span<u64> wear = bank.wear_mut();
-
-    // Aggregated outer sweep. Endpoints resolve through each sub-region's
-    // inner map *as of that trigger's write*: frozen regions read live,
-    // active regions read analytically (keys are round-stable inside the
-    // jump; only their CRP advances, at one step per ψ_in hits).
-    u64 n_out = (oc0 + jump) / iv_out - (outer_live ? 1 : 0);
-    if (n_out > 0) {
-      const u64 kp = outer_.key_p();
-      const u64 ocrp0 = outer_.crp();
-      const auto endpoint_pa = [&](u64 ia, u64 w) {
-        const u64 q = ia >> region_bits_;
-        const u64 off = ia & omask;
-        for (const auto& d : doms) {
-          if (d.key != q) continue;
-          const u64 steps =
-              (inner_counter_[d.key] + d.hits.hits_in(phase, w)) / iv_in;
-          return (q << region_bits_) | inner_[q].translate_at(off, inner_[q].crp() + steps);
-        }
-        return (q << region_bits_) | inner_[q].translate(off);
-      };
-      fired += outer_.advance_steps(n_out, [&](u64 a, u64 b) {
-        // Trigger index from the candidate (a = c ^ key_p), then the
-        // write it lands on.
-        const u64 w = (iv_out - oc0) + ((a ^ kp) - ocrp0) * iv_out;
-        ++wear[endpoint_pa(a, w)];
-        ++wear[endpoint_pa(b, w)];
-      });
-      agg_steps += n_out;
-    }
-    // Aggregated inner sweeps (endpoints stay inside the region).
-    for (const auto& d : doms) {
-      const u64 h = d.hits.hits_in(phase, jump);
-      const u64 c = inner_counter_[d.key] + h;
-      u64 n_in = c / iv_in;
-      if (inner_live && d.key == q_b) --n_in;
-      if (n_in > 0) {
-        const u64 base = d.key << region_bits_;
-        fired += inner_[d.key].advance_steps(
-            n_in, [&](u64 a, u64 b) { ++wear[base | a], ++wear[base | b]; });
-        agg_steps += n_in;
-      }
-      inner_counter_[d.key] = c % iv_in;
-    }
-    if (fired > 0) {
-      bank.note_writes_unchecked(2 * fired);
-      out.total += pcm::swap_latency(bank.config(), uniform.cls, uniform.cls) * fired;
-      out.movements += fired;
-    }
-    outer_counter_ = (oc0 + jump) % iv_out;
-    out.writes_applied += jump;
-    phase = (phase + jump) % period;
-    epoch::emit_jump(tel_, tel_id_, telemetry::kGlobalDomain, jump,
-                     agg_steps + (inner_live ? 1 : 0) + (outer_live ? 1 : 0), jump_t0,
-                     out.total.value());
-
-    // Replay the special trigger(s) exactly, in write()'s order. Both
-    // counters already read 0 here when due (the mod above).
-    if (replay) {
-      u64 moved = 0;
-      Ns stall{0};
-      if (inner_live) stall += do_inner_step(q_b, bank, &moved);
-      if (outer_live) stall += do_outer_step(bank, &moved);
-      out.total += stall;
-      out.movements += moved;
-      rebuild = true;
-    }
+    b_out = (iv_out - outer_counter_) + js * iv_out;
   }
-  return out;
+  // Inner level, per pattern-active sub-region (inactive regions take
+  // no writes, so their inner state is frozen for the whole call).
+  u64 b_in = batch::kUnbounded;
+  for (const auto& d : w.doms) {
+    const auto& reg = inner_[d.key];
+    const u64 icrp = reg.crp();
+    u64 js = 0;
+    if (icrp < rl) {
+      js = rl - icrp;
+      for (u64 i = 0; i < period; ++i) {
+        if (w.keys[i] != d.key) continue;
+        // next_touch wants the *physical* slot the pattern line sits in.
+        const u64 t = reg.next_touch(w.pas[i].value() & omask);
+        if (t < rl) js = std::min(js, t - icrp);
+      }
+    }
+    const u64 need = (iv_in - inner_counter_[d.key]) + js * iv_in;
+    b_in = std::min(b_in, d.hits.until_nth(w.phase, need));
+  }
+  // Movement-slot wear per jump: aggregated sweeps stay inside one round
+  // per level, where fired swaps touch each slot exactly once — at most
+  // one inner endpoint plus (a PA's resident IA changing at most once
+  // mid-jump) two outer endpoints. The replayed boundary step(s) can
+  // open a *new* round at either level and re-touch an already-swept
+  // slot, adding one checked wear each. Five budget units cover it all.
+  const u64 boundary = std::min(b_out, b_in);
+  if (boundary > remaining) return {.jump = remaining, .cost = 5};
+  EpochPlan p{.jump = boundary, .cost = 5};
+  // The jump covers the boundary write itself (triggers fire after the
+  // write, under the pre-trigger mapping). *Every* trigger due at it
+  // fires live, not just the special one: aggregated sweeps then stay
+  // strictly before the boundary, where no pattern slot moves — so their
+  // unchecked endpoint wear provably lands on budgeted movement slots
+  // only, in reference order.
+  p.live_global = (outer_counter_ + p.jump) % iv_out == 0;
+  const u64 q_b = w.keys[(w.phase + p.jump - 1) % period];
+  for (const auto& d : w.doms) {
+    if (d.key != q_b) continue;
+    const u64 hits = d.hits.hits_in(w.phase, p.jump);
+    if ((inner_counter_[d.key] + hits) % iv_in == 0) p.live_dom = q_b;
+    break;
+  }
+  return p;
 }
 
-BulkOutcome TwoLevelSecurityRefresh::write_repeated(La la, const pcm::LineData& data, u64 count,
-                                                    pcm::PcmBank& bank) {
-  BulkOutcome out;
-  while (out.writes_applied < count && !bank.has_failure()) {
-    // The IA (and thus sub-region) of `la` can change at any outer step,
-    // so recompute per chunk; chunks end at the nearest trigger.
-    const u64 ia = outer_.translate(la.value());
-    const u64 q = ia >> region_bits_;
-    const u64 iv_in = effective_inner_interval();
-    const u64 iv_out = effective_outer_interval();
-    const u64 until_inner = inner_counter_[q] >= iv_in ? 1 : iv_in - inner_counter_[q];
-    const u64 until_outer = outer_counter_ >= iv_out ? 1 : iv_out - outer_counter_;
-    const u64 chunk =
-        std::min({count - out.writes_applied, until_inner, until_outer});
-    out.total += bank.bulk_write(ia_to_pa(ia), data, chunk);
-    out.writes_applied += chunk;
-    inner_counter_[q] += chunk;
-    outer_counter_ += chunk;
-    if (bank.has_failure()) break;
-    if (inner_counter_[q] >= iv_in) {
-      inner_counter_[q] = 0;
-      out.total += do_inner_step(q, bank, &out.movements);
-    }
-    if (outer_counter_ >= iv_out) {
-      outer_counter_ = 0;
-      out.total += do_outer_step(bank, &out.movements);
-    }
+FoldResult TwoLevelSecurityRefresh::epoch_fold(const EpochPlan& p, const batch::Window& w,
+                                               u64 /*done*/, u64 jump,
+                                               const pcm::LineData& uniform, pcm::PcmBank& bank,
+                                               BulkOutcome& out) {
+  const u64 iv_in = effective_inner_interval();
+  const u64 iv_out = effective_outer_interval();
+  const u64 omask = low_mask(region_bits_);
+  const u64 oc0 = outer_counter_;
+  FoldResult f;
+  u64 fired = 0;
+  const std::span<u64> wear = bank.wear_mut();
+
+  // Aggregated outer sweep. Endpoints resolve through each sub-region's
+  // inner map *as of that trigger's write*: frozen regions read live,
+  // active regions read analytically (keys are round-stable inside the
+  // jump; only their CRP advances, at one step per ψ_in hits).
+  const u64 n_out = (oc0 + jump) / iv_out - u64{p.live_global};
+  outer_counter_ = oc0 + jump - n_out * iv_out;
+  if (n_out > 0) {
+    const u64 kp = outer_.key_p();
+    const u64 ocrp0 = outer_.crp();
+    const auto endpoint_pa = [&](u64 ia, u64 at) {
+      const u64 q = ia >> region_bits_;
+      const u64 off = ia & omask;
+      for (const auto& d : w.doms) {
+        if (d.key != q) continue;
+        const u64 steps = (inner_counter_[d.key] + d.hits.hits_in(w.phase, at)) / iv_in;
+        return (q << region_bits_) | inner_[q].translate_at(off, inner_[q].crp() + steps);
+      }
+      return (q << region_bits_) | inner_[q].translate(off);
+    };
+    fired += outer_.advance_steps(n_out, [&](u64 a, u64 b) {
+      // Trigger index from the candidate (a = c ^ key_p), then the
+      // write it lands on.
+      const u64 at = (iv_out - oc0) + ((a ^ kp) - ocrp0) * iv_out;
+      ++wear[endpoint_pa(a, at)];
+      ++wear[endpoint_pa(b, at)];
+    });
+    f.steps += n_out;
   }
-  return out;
+  // Aggregated inner sweeps (endpoints stay inside the region).
+  for (const auto& d : w.doms) {
+    const u64 c = inner_counter_[d.key] + d.hits.hits_in(w.phase, jump);
+    const u64 n_in = c / iv_in - u64{d.key == p.live_dom};
+    inner_counter_[d.key] = c - n_in * iv_in;
+    if (n_in == 0) continue;
+    const u64 base = d.key << region_bits_;
+    fired += inner_[d.key].advance_steps(
+        n_in, [&](u64 a, u64 b) { ++wear[base | a], ++wear[base | b]; });
+    f.steps += n_in;
+  }
+  if (fired > 0) {
+    bank.note_writes_unchecked(2 * fired);
+    out.total += pcm::swap_latency(bank.config(), uniform.cls, uniform.cls) * fired;
+    out.movements += fired;
+  }
+  return f;
 }
 
 }  // namespace srbsg::wl

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "wl/engine.hpp"
 #include "wl/security_refresh_region.hpp"
-#include "wl/wear_leveler.hpp"
 
 namespace srbsg::wl {
 
@@ -24,22 +24,13 @@ struct TwoLevelSrConfig {
   [[nodiscard]] u64 region_lines() const { return lines / sub_regions; }
 };
 
-class TwoLevelSecurityRefresh final : public WearLeveler {
+class TwoLevelSecurityRefresh final : public BulkEngine<TwoLevelSecurityRefresh> {
  public:
   explicit TwoLevelSecurityRefresh(const TwoLevelSrConfig& cfg);
 
   [[nodiscard]] std::string_view name() const override { return "sr2"; }
   [[nodiscard]] u64 logical_lines() const override { return cfg_.lines; }
   [[nodiscard]] u64 physical_lines() const override { return cfg_.lines; }
-  [[nodiscard]] Pa translate(La la) const override;
-
-  WriteOutcome write(La la, const pcm::LineData& data, pcm::PcmBank& bank) override;
-  BulkOutcome write_repeated(La la, const pcm::LineData& data, u64 count,
-                             pcm::PcmBank& bank) override;
-  BulkOutcome write_batch(std::span<const La> las, const pcm::LineData& data,
-                          pcm::PcmBank& bank) override;
-  BulkOutcome write_cycle(std::span<const La> pattern, const pcm::LineData& data, u64 count,
-                          pcm::PcmBank& bank) override;
 
   [[nodiscard]] const TwoLevelSrConfig& config() const { return cfg_; }
   [[nodiscard]] const SecurityRefreshRegion& outer() const { return outer_; }
@@ -54,31 +45,37 @@ class TwoLevelSecurityRefresh final : public WearLeveler {
   /// SR movements are swaps: two line writes each.
   [[nodiscard]] u32 writes_per_movement() const override { return 2; }
 
-  void set_rate_boost(u32 log2_divisor) override {
-    check_lt(log2_divisor, u32{64}, "set_rate_boost: boost shifts past the interval width");
-    boost_ = log2_divisor;
-  }
-  [[nodiscard]] u64 effective_inner_interval() const {
-    const u64 iv = cfg_.inner_interval >> boost_;
-    return iv == 0 ? 1 : iv;
-  }
-  [[nodiscard]] u64 effective_outer_interval() const {
-    const u64 iv = cfg_.outer_interval >> boost_;
-    return iv == 0 ? 1 : iv;
-  }
+  [[nodiscard]] u64 effective_inner_interval() const { return boosted(cfg_.inner_interval); }
+  [[nodiscard]] u64 effective_outer_interval() const { return boosted(cfg_.outer_interval); }
 
  private:
+  friend class BulkEngine<TwoLevelSecurityRefresh>;
+
+  // Remapping rule (wl/engine.hpp): the outer SR maps LA→IA and steps
+  // every ψ_out writes to the bank; the IA's sub-region steps its inner
+  // SR every ψ_in writes landing in it.
+  static constexpr bool kDomainCounters = true;
+  static constexpr bool kGlobalCounter = true;
+  static constexpr Fold kFold = Fold::kUniform;
+  [[nodiscard]] Loc locate(u64 la) const {
+    const u64 ia = outer_.translate(la);
+    return {ia_to_pa(ia), ia >> region_bits_, ia};
+  }
+  [[nodiscard]] u64& domain_counter(u64 q) { return inner_counter_[q]; }
+  [[nodiscard]] u64 domain_interval() const { return effective_inner_interval(); }
+  [[nodiscard]] u64& global_counter() { return outer_counter_; }
+  [[nodiscard]] u64 global_interval() const { return effective_outer_interval(); }
+  /// One inner CRP step of sub-region `q` (0 latency when skipped).
+  Ns fire_domain(u64 q, pcm::PcmBank& bank, u64& moved);
+  /// One outer CRP step (0 latency when skipped).
+  Ns fire_global(pcm::PcmBank& bank, u64& moved);
+  /// Epoch fold: analytic jumps between pattern-touching/rekey triggers
+  /// at either level.
+  [[nodiscard]] EpochPlan epoch_plan(const batch::Window& w, u64 remaining) const;
+  FoldResult epoch_fold(const EpochPlan& p, const batch::Window& w, u64 done, u64 jump,
+                        const pcm::LineData& uniform, pcm::PcmBank& bank, BulkOutcome& out);
+
   [[nodiscard]] Pa ia_to_pa(u64 ia) const;
-  Ns do_inner_step(u64 q, pcm::PcmBank& bank, u64* movements);
-  Ns do_outer_step(pcm::PcmBank& bank, u64* movements);
-  /// PR-4 windowed engine, entered at cycle offset `phase0`; accumulates
-  /// into `out`.
-  void write_cycle_windowed(std::span<const La> pattern, const pcm::LineData& data, u64 count,
-                            u64 phase0, pcm::PcmBank& bank, BulkOutcome& out);
-  /// Epoch fast-forward engine (DESIGN.md §15): analytic jumps between
-  /// pattern-touching/rekey triggers, windowed fallback otherwise.
-  BulkOutcome write_cycle_epoch(std::span<const La> pattern, const pcm::LineData& data,
-                                u64 count, pcm::PcmBank& bank);
 
   TwoLevelSrConfig cfg_;
   u32 region_bits_;
@@ -86,7 +83,6 @@ class TwoLevelSecurityRefresh final : public WearLeveler {
   std::vector<SecurityRefreshRegion> inner_;
   std::vector<u64> inner_counter_;
   u64 outer_counter_{0};
-  u32 boost_{0};
 };
 
 }  // namespace srbsg::wl

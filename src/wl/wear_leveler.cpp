@@ -32,23 +32,14 @@ void WearLeveler::attach_telemetry(telemetry::Recorder* recorder) {
 
 BulkOutcome WearLeveler::write_repeated(La la, const pcm::LineData& data, u64 count,
                                         pcm::PcmBank& bank) {
-  // Generic fallback: one write at a time. Schemes override this with an
-  // event-driven fast path.
-  BulkOutcome out;
-  for (u64 i = 0; i < count && !bank.has_failure(); ++i) {
-    const WriteOutcome w = write(la, data, bank);
-    out.total += w.total;
-    out.movements += w.movements;
-    ++out.writes_applied;
-  }
-  return out;
+  return write_cycle(std::span<const La>(&la, 1), data, count, bank);
 }
 
 BulkOutcome WearLeveler::write_batch(std::span<const La> las, const pcm::LineData& data,
                                      pcm::PcmBank& bank) {
-  // Generic fallback: one write at a time, stopping after the write that
-  // records a failure — the reference semantics scheme overrides must
-  // reproduce bit-identically.
+  // The reference loop: one write at a time, stopping after the write
+  // that records a failure — the semantics every engine tier reproduces
+  // bit-identically.
   BulkOutcome out;
   for (const La la : las) {
     if (bank.has_failure()) break;

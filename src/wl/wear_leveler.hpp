@@ -26,7 +26,7 @@ namespace srbsg::wl {
 /// windowed tier is the default so existing callers are unaffected.
 enum class EngineTier : u8 {
   kReference,  ///< per-write loop — the ground-truth semantics
-  kWindowed,   ///< PR-4 windowed engine: O(remap triggers) chunks
+  kWindowed,   ///< windowed engine: O(remap triggers) chunks
   kEpoch,      ///< epoch fast-forward: analytic jumps over whole remap
                ///< epochs, falling back to the windowed tier near
                ///< failure, boundaries, and inexpressible state
@@ -74,10 +74,9 @@ class WearLeveler {
   /// remap counters, and executes any triggered remap movement(s).
   virtual WriteOutcome write(La la, const pcm::LineData& data, pcm::PcmBank& bank) = 0;
 
-  /// `count` consecutive writes of identical data to `la`. Semantically
-  /// identical to calling write() in a loop, but schemes override it with
-  /// an event-driven fast path (O(remap events), not O(count)). Stops
-  /// early once the bank records a failure.
+  /// `count` consecutive writes of identical data to `la`: write_cycle()
+  /// with a one-element pattern, under the same bit-identity contract —
+  /// it stops right after the write that records a failure.
   virtual BulkOutcome write_repeated(La la, const pcm::LineData& data, u64 count,
                                      pcm::PcmBank& bank);
 
@@ -86,22 +85,22 @@ class WearLeveler {
   ///   `for (la : las) { if (bank.has_failure()) break; write(la, ...); }`
   /// in wear counts, movements and total latency — including the exact
   /// stop after the write that records the failure (whose due remap
-  /// movement still fires, as in write()). Scheme overrides hoist
-  /// translation state out of the loop and send runs of >= 16 identical
-  /// addresses through the event-driven write_cycle() path. Addresses
-  /// are validated up-front in the overrides; partial application before
-  /// an out-of-range throw is unspecified.
+  /// movement still fires, as in write()). The base class is that loop;
+  /// the schemes' engine (wl/engine.hpp) validates every address
+  /// up-front, inlines the per-write body and sends runs of >= 16
+  /// identical addresses through write_cycle(). Partial application
+  /// before an out-of-range throw is unspecified.
   virtual BulkOutcome write_batch(std::span<const La> las, const pcm::LineData& data,
                                   pcm::PcmBank& bank);
 
   /// `count` writes of `data` cycling through `pattern`: write #k targets
   /// pattern[k % pattern.size()], and the final cycle may be partial.
   /// Same bit-identity contract as write_batch() versus the per-write
-  /// reference loop. Scheme overrides run a windowed engine that applies
-  /// per-line bulk writes between remap triggers, so periodic hammer
-  /// loops cost O(remap events + pattern length) instead of O(count);
-  /// patterns much longer than the remapping interval fall back to the
-  /// generic loop (see batch::kPatternFallbackFactor).
+  /// reference loop. The engine applies per-line bulk writes between
+  /// remap triggers (or jumps whole epochs), so periodic hammer loops
+  /// cost O(remap events + pattern length) instead of O(count); patterns
+  /// much longer than the remapping interval fall back to the per-write
+  /// loop (see batch::kPatternFallbackFactor).
   virtual BulkOutcome write_cycle(std::span<const La> pattern, const pcm::LineData& data,
                                   u64 count, pcm::PcmBank& bank);
 
@@ -129,7 +128,7 @@ class WearLeveler {
 
   /// Select the bulk-write engine for write_repeated/write_batch/
   /// write_cycle. Virtual so wrappers (audit, verify mutants) forward to
-  /// the scheme they decorate. Schemes without an epoch fast path treat
+  /// the scheme they decorate. Schemes without an epoch fold treat
   /// kEpoch as kWindowed — every tier keeps the bit-identity contract.
   virtual void set_engine_tier(EngineTier tier) { tier_ = tier; }
   [[nodiscard]] EngineTier engine_tier() const { return tier_; }

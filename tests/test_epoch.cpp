@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "pcm/bank.hpp"
@@ -198,6 +199,38 @@ TEST_P(EpochEquivalence, NonUniformContentFallsBack) {
                     arm.scheme->write(La{la}, pcm::LineData::mixed(0xBEEF00 + la), *arm.bank);
                   }
                 });
+}
+
+TEST_P(EpochEquivalence, CachedProofAcrossPatternChange) {
+  // The first call leaves its hammered line one write short of failure.
+  // A rate boost writes nothing to the bank, so a proof cached by that
+  // call stays valid for the next one, whose pattern's gap sweeps pass
+  // over the worn line. Folded movements must not push it past its
+  // limit unrecorded: the failure lands where the per-write loop puts it.
+  const u64 lines = 64;
+  auto spec = spec_for(GetParam(), lines);
+  spec.regions = 16;
+  spec.inner_interval = 600;
+  spec.outer_interval = u64{1} << 30;
+  spec.seed = 2;
+  const auto cfg = pcm::PcmConfig::scaled(lines, 601);
+  const auto data = pcm::LineData::mixed(0x11);
+  const std::vector<La> first = {La{2}};
+  for (u64 y = 0; y < lines; ++y) {
+    if (y == 2) continue;
+    SCOPED_TRACE("second address " + std::to_string(y));
+    const std::vector<La> second = {La{y}};
+    Arm ref(spec, cfg, EngineTier::kReference);
+    Arm win(spec, cfg, EngineTier::kWindowed);
+    Arm epo(spec, cfg, EngineTier::kEpoch);
+    for (Arm* arm : {&ref, &win, &epo}) {
+      arm->cycle(first, data, 600);
+      arm->scheme->set_rate_boost(8);
+      arm->cycle(second, data, 3000);
+    }
+    expect_identical(ref, win, "windowed-vs-reference");
+    expect_identical(ref, epo, "epoch-vs-reference");
+  }
 }
 
 TEST_P(EpochEquivalence, EpochTelemetryAttributesJumps) {

@@ -10,7 +10,7 @@ namespace srbsg::attack {
 namespace {
 
 // Minimal custom scheme exercising the WearLeveler base-class defaults
-// (the generic write_repeated loop and the read path).
+// (write_repeated through the generic write_cycle loop, and the read path).
 class EchoScheme final : public wl::WearLeveler {
  public:
   explicit EchoScheme(u64 lines) : lines_(lines) {}

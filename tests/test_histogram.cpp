@@ -64,6 +64,21 @@ TEST(LogHistogram, QuantilesOnKnownData) {
   EXPECT_EQ(h.quantile(1.0), LogHistogram::bucket_lo(LogHistogram::bucket_index(100)));
 }
 
+TEST(LogHistogram, QuantilesStayWithinRecordedRange) {
+  // 1000 shares a bucket whose lower bound is below it; a quantile must
+  // never report a value no sample had.
+  LogHistogram h;
+  h.record(1000, 64);
+  ASSERT_LT(LogHistogram::bucket_lo(LogHistogram::bucket_index(1000)), 1000u);
+  EXPECT_EQ(h.quantile(0.0), 1000u);
+  EXPECT_EQ(h.quantile(0.50), 1000u);
+  EXPECT_EQ(h.quantile(0.99), 1000u);
+  EXPECT_EQ(h.quantile(1.0), 1000u);
+  h.record(250, 3);
+  EXPECT_GE(h.quantile(0.0), h.min());
+  EXPECT_LE(h.quantile(1.0), h.max());
+}
+
 TEST(LogHistogram, EmptyHistogramIsZero) {
   const LogHistogram h;
   EXPECT_TRUE(h.empty());

@@ -180,32 +180,6 @@ TEST(Telemetry, CollectorJsonlIsDeterministicAcrossWorkerCounts) {
   EXPECT_EQ(one, four) << "JSONL output depends on worker count";
 }
 
-TEST(Telemetry, CollectLatencyAliasMatchesManualSink) {
-  const auto spec = small_spec(wl::SchemeKind::kSecurityRbsg, 5);
-  const auto pcm_cfg = pcm::PcmConfig::scaled(spec.lines, 512);
-  const u64 budget = u64{1} << 22;
-
-  ctl::MemoryController manual(pcm_cfg, wl::make_scheme(spec));
-  ctl::LatencyStats sink;
-  manual.set_latency_sink(&sink);
-  attack::RepeatedAddressAttack atk_a(La{17});
-  atk_a.run(manual, budget);
-  manual.set_latency_sink(nullptr);
-
-  ctl::MemoryController traced(pcm_cfg, wl::make_scheme(spec));
-  attack::RepeatedAddressAttack atk_b(La{17});
-  attack::HarnessOptions opts;
-  opts.collect_latency = true;
-  const auto res = attack::run_attack(traced, atk_b, budget, opts);
-
-  ASSERT_TRUE(res.latency.has_value());
-  EXPECT_EQ(res.latency->writes, sink.writes);
-  EXPECT_EQ(res.latency->total, sink.total);
-  EXPECT_EQ(res.latency->movements, sink.movements);
-  EXPECT_EQ(res.latency->max_single, sink.max_single);
-  EXPECT_GT(res.latency->writes, 0u);
-}
-
 TEST(Telemetry, MovesAndRekeysAttributeToSameInstantTrigger) {
   // The invariant srbsg-trace --validate enforces, checked in-memory on
   // a full (undropped) ring: per scheme, every GapMoved/KeyRerandomized

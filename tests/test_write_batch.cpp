@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -210,6 +211,34 @@ TEST_P(BatchEquivalence, BatchStopsExactlyAtFailure) {
   ASSERT_TRUE(bref.has_failure());
   EXPECT_LT(ofast.writes_applied, las.size());
   expect_identical(*ref, bref, oref, *fast, bfast, ofast);
+}
+
+TEST_P(BatchEquivalence, RepeatedMatchesLoopAtFailure) {
+  // write_repeated is write_cycle over a one-address pattern, so it must
+  // stop exactly where the per-write loop does: after the write that
+  // records the failure, with that write's due movement fired.
+  const u64 lines = 64;
+  auto spec = spec_for(GetParam(), lines);
+  spec.regions = 4;
+  spec.inner_interval = 8;
+  spec.outer_interval = 16;
+  const auto data = pcm::LineData::mixed(0x5EED);
+  for (const u64 endurance : {7u, 64u, 100u, 257u, 1000u, 1024u}) {
+    for (const u64 la : {0u, 13u, 63u}) {
+      SCOPED_TRACE("endurance=" + std::to_string(endurance) + " la=" + std::to_string(la));
+      auto ref = make_scheme(spec);
+      auto fast = make_scheme(spec);
+      const auto cfg = pcm::PcmConfig::scaled(lines, endurance);
+      pcm::PcmBank bref(cfg, ref->physical_lines());
+      pcm::PcmBank bfast(cfg, fast->physical_lines());
+      const std::vector<La> pattern = {La{la}};
+      const u64 count = u64{1} << 20;  // far past first failure
+      const auto oref = reference_cycle(*ref, pattern, count, data, bref);
+      const auto ofast = fast->write_repeated(La{la}, data, count, bfast);
+      ASSERT_TRUE(bref.has_failure());
+      expect_identical(*ref, bref, oref, *fast, bfast, ofast);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, BatchEquivalence, ::testing::ValuesIn(kAllKinds),
