@@ -35,15 +35,19 @@ DynamicFeistelOuter::DynamicFeistelOuter(u32 width_bits, u32 stages, Rng rng,
   enc_c_ = make_prp(seed0);
   is_remap_.assign(lines(), true);
   slot_remapped_.assign(lines(), true);
+  // The map fills as lines move; until then the rule answers, so boot
+  // evaluates no permutation.
+  ia_of_.assign(lines(), kUnmoved);
   remapped_ = lines();
 }
 
-u64 DynamicFeistelOuter::translate(u64 la) const {
-  check(la < lines(), "DynamicFeistelOuter: address out of range");
+u64 DynamicFeistelOuter::rule_ia(u64 la) const {
   if (spare_holder_ && *spare_holder_ == la) return spare_ia();
   return is_remap_[la] ? enc_c_->map(la) : enc_p_->map(la);
 }
 
+// A new round changes no line's IA (ENC_Kp becomes the old ENC_Kc, under
+// which every line was remapped), so the live map carries over as is.
 void DynamicFeistelOuter::begin_round() {
   enc_p_ = std::move(enc_c_);
   enc_c_ = make_prp(rng_.next());
@@ -78,6 +82,7 @@ DynamicFeistelOuter::Movement DynamicFeistelOuter::advance() {
     const u64 slot = next_unremapped_slot();
     const u64 la = enc_p_->unmap(slot);
     spare_holder_ = la;
+    place(la, spare_ia());
     cycle_start_ = slot;
     gap_ = slot;
     return Movement{slot, spare_ia()};
@@ -93,6 +98,7 @@ DynamicFeistelOuter::Movement DynamicFeistelOuter::advance() {
     spare_holder_.reset();
     is_remap_[loc] = true;
     slot_remapped_[cycle_start_] = true;
+    place(loc, old_gap);
     ++remapped_;
     if (remapped_ == lines()) {
       phase_ = Phase::kIdle;
@@ -102,9 +108,12 @@ DynamicFeistelOuter::Movement DynamicFeistelOuter::advance() {
     }
     return Movement{spare_ia(), old_gap};
   }
-  const u64 src = enc_p_->map(loc);
+  // loc is not remapped yet, so it still sits at its ENC_Kp slot; the
+  // map knows that slot without evaluating ENC_Kp.
+  const u64 src = current_ia(loc);
   is_remap_[loc] = true;
   slot_remapped_[src] = true;
+  place(loc, old_gap);
   ++remapped_;
   gap_ = src;
   return Movement{src, old_gap};
@@ -119,6 +128,16 @@ void DynamicFeistelOuter::validate() const {
     check_eq(static_cast<u64>(slot_remapped_[slot]),
              static_cast<u64>(is_remap_[enc_p_->unmap(slot)]),
              "DFN: slot-indexed remap mirror disagrees with isRemap");
+  }
+  // The live map caches the isRemap rule: every entry a movement wrote
+  // must agree with it, and a completed round has written them all.
+  for (u64 la = 0; la < n; ++la) {
+    const u32 ia = ia_of_[la];
+    if (ia == kUnmoved) {
+      check(rounds_completed_ == 0, "DFN: a completed round left a line unmoved");
+      continue;
+    }
+    check_eq(u64{ia}, rule_ia(la), "DFN: live map disagrees with the isRemap rule");
   }
   check_le(remapped_, n, "DFN: remapped counter exceeds line count");
   check_le(scan_, n, "DFN: scan pointer out of bounds");

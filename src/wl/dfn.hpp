@@ -8,6 +8,9 @@
 // plus a Gap register enable incremental migration of the whole address
 // space from the previous permutation (ENC_Kp) to the current one
 // (ENC_Kc); a per-line isRemap bit selects which one translates each LA.
+// A live LA→IA map caches that rule: each movement updates the one entry
+// it moves, so translation and the walk itself read the map instead of
+// evaluating a permutation per write.
 //
 // The permutation family is pluggable: the paper's multi-stage Feistel
 // network with the cubing round function (kCubingFeistel) or an explicit
@@ -28,6 +31,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "mapping/mapper.hpp"
@@ -53,8 +57,12 @@ class DynamicFeistelOuter {
   [[nodiscard]] OuterPrpKind prp_kind() const { return kind_; }
 
   /// Current IA of `la`, in [0, N] (N = spare, while `la`'s data is
-  /// parked there mid-round).
-  [[nodiscard]] u64 translate(u64 la) const;
+  /// parked there mid-round). Reads the live map; a line no movement has
+  /// touched since boot takes the isRemap rule (rule_ia()).
+  [[nodiscard]] u64 translate(u64 la) const {
+    check(la < lines(), "DynamicFeistelOuter: address out of range");
+    return current_ia(la);
+  }
 
   /// One remapping movement: the owner must copy the data of IA slot
   /// `from` into IA slot `to` (either may be the spare index N).
@@ -75,8 +83,9 @@ class DynamicFeistelOuter {
 
   /// Full consistency audit of the DFN state machine: Gap/scan bounds,
   /// isRemap population vs. the remapped counter, spare-holder/phase
-  /// agreement, and (for widths small enough to enumerate) bijectivity of
-  /// both key epochs' permutations. Throws CheckFailure on violation.
+  /// agreement, every live-map entry vs. the isRemap rule, and (for
+  /// widths small enough to enumerate) bijectivity of both key epochs'
+  /// permutations. Throws CheckFailure on violation.
   void validate() const;
 
  private:
@@ -86,7 +95,20 @@ class DynamicFeistelOuter {
     kNeedNewCycle,  ///< cycle closed but lines remain; next advance evicts
   };
 
+  /// Live-map entry of a line no movement has touched since boot.
+  static constexpr u32 kUnmoved = ~u32{0};
+
   [[nodiscard]] std::unique_ptr<mapping::AddressMapper> make_prp(u64 seed) const;
+  /// The paper's translation rule: the spare for the parked line, else
+  /// isRemap ? ENC_Kc(la) : ENC_Kp(la). The reference the live map caches.
+  [[nodiscard]] u64 rule_ia(u64 la) const;
+  /// translate() without the range check.
+  [[nodiscard]] u64 current_ia(u64 la) const {
+    const u32 ia = ia_of_[la];
+    return ia != kUnmoved ? ia : rule_ia(la);
+  }
+  /// Records that `la` now occupies `ia` (at most N <= 2^28: fits u32).
+  void place(u64 la, u64 ia) { ia_of_[la] = checked_narrow<u32>(ia); }
   void begin_round();
   [[nodiscard]] u64 next_unremapped_slot();
 
@@ -98,9 +120,13 @@ class DynamicFeistelOuter {
   std::unique_ptr<mapping::AddressMapper> enc_c_;
   std::vector<bool> is_remap_;
   /// Mirror of is_remap_ indexed by ENC_Kp slot instead of LA, so the
-  /// next-unremapped scan advances without a DEC_Kp evaluation per slot
-  /// (the scan is the hot path's third PRP call otherwise).
+  /// next-unremapped scan advances without a DEC_Kp evaluation per
+  /// probed slot.
   std::vector<bool> slot_remapped_;
+  /// Live LA→IA map: the IA each LA occupies now, kUnmoved until its
+  /// first movement since boot. Every line moves once per round, so after
+  /// the first round the map answers every translation.
+  std::vector<u32> ia_of_;
   Phase phase_{Phase::kIdle};
   u64 gap_{0};                       ///< empty IA slot while kInCycle
   u64 cycle_start_{0};               ///< slot evicted into the spare

@@ -17,10 +17,13 @@ void RbsgConfig::validate() const {
   check(regions >= 1 && lines % regions == 0, "RbsgConfig: regions must divide lines");
   check(interval >= 1, "RbsgConfig: interval must be positive");
   check(feistel_stages >= 1, "RbsgConfig: need at least one Feistel stage");
+  check(randomizer == Randomizer::kNone || lines <= (u64{1} << 32),
+        "RbsgConfig: a randomized RBSG memoizes IAs as u32, so lines must be <= 2^32");
 }
 
 RegionStartGap::RegionStartGap(const RbsgConfig& cfg) : cfg_(cfg) {
   cfg_.validate();
+  region_bits_ = log2_floor(cfg_.region_lines());
   Rng rng(cfg_.seed);
   const u32 bits = log2_floor(cfg_.lines);
   switch (cfg_.randomizer) {
@@ -35,11 +38,19 @@ RegionStartGap::RegionStartGap(const RbsgConfig& cfg) : cfg_(cfg) {
       mapper_ = std::make_unique<mapping::BinaryMatrixMapper>(bits, rng);
       break;
   }
+  // Filled lazily by randomize(): construction evaluates no randomizer.
+  if (mapper_) ia_of_.assign(cfg_.lines, kUnmapped);
   sg_.assign(cfg_.regions, StartGapRegion(cfg_.region_lines()));
   counter_.assign(cfg_.regions, 0);
 }
 
-u64 RegionStartGap::randomize(u64 la) const { return mapper_ ? mapper_->map(la) : la; }
+u64 RegionStartGap::randomize(u64 la) const {
+  check(la < cfg_.lines, "RegionStartGap::randomize: address out of range");
+  if (!mapper_) return la;
+  u32& ia = ia_of_[la];
+  if (ia == kUnmapped) ia = checked_narrow<u32>(mapper_->map(la));
+  return ia;
+}
 
 u64 RegionStartGap::derandomize(u64 ia) const { return mapper_ ? mapper_->unmap(ia) : ia; }
 
@@ -117,6 +128,12 @@ void RegionStartGap::validate_state() const {
   for (u64 q = 0; q < cfg_.regions; ++q) {
     sg_[q].validate();
     check_le(counter_[q], cfg_.interval, "RegionStartGap: region write counter overran ψ");
+  }
+  for (u64 la = 0; la < ia_of_.size(); ++la) {
+    if (ia_of_[la] != kUnmapped) {
+      check_eq(u64{ia_of_[la]}, mapper_->map(la),
+               "RegionStartGap: randomizer memo disagrees with the randomizer");
+    }
   }
   if (mapper_ && cfg_.lines <= (u64{1} << 16)) {
     check(mapping::verify_bijection(*mapper_), "RegionStartGap: randomizer is not a bijection");

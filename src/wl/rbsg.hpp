@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/check.hpp"
 #include "mapping/mapper.hpp"
 #include "wl/engine.hpp"
@@ -21,7 +22,7 @@
 namespace srbsg::wl {
 
 struct RbsgConfig {
-  u64 lines{1u << 16};  ///< N, power of two
+  u64 lines{1u << 16};  ///< N, power of two (at most 2^32 when randomized)
   u64 regions{32};      ///< R, must divide N
   u64 interval{100};    ///< ψ, writes per region between gap movements
   enum class Randomizer { kNone, kFeistel, kMatrix } randomizer{Randomizer::kFeistel};
@@ -47,7 +48,8 @@ class RegionStartGap final : public BulkEngine<RegionStartGap> {
   }
 
   [[nodiscard]] const RbsgConfig& config() const { return cfg_; }
-  /// Static randomizer (identity when configured with kNone).
+  /// Static randomizer (identity when configured with kNone). Each LA's
+  /// IA is computed once, on first use, and memoized.
   [[nodiscard]] u64 randomize(u64 la) const;
   [[nodiscard]] u64 derandomize(u64 ia) const;
   /// Gap register of region `q` (for tests).
@@ -58,8 +60,9 @@ class RegionStartGap final : public BulkEngine<RegionStartGap> {
   /// randomizer).
   [[nodiscard]] static RbsgConfig plain_start_gap(u64 lines, u64 interval);
 
-  /// Region register bounds, write-counter bounds, and (for enumerable
-  /// widths) bijectivity of the static randomizer.
+  /// Region register bounds, write-counter bounds, the randomizer memo
+  /// vs. the randomizer, and (for enumerable widths) bijectivity of the
+  /// static randomizer.
   void validate_state() const override;
   /// Effective remapping interval (configured ψ divided by the boost).
   [[nodiscard]] u64 effective_interval() const { return boosted(cfg_.interval); }
@@ -74,11 +77,11 @@ class RegionStartGap final : public BulkEngine<RegionStartGap> {
   static constexpr Fold kFold = Fold::kUniform;
   [[nodiscard]] Loc locate(u64 la) const {
     const u64 ia = randomize(la);
-    return {place(ia), ia / cfg_.region_lines(), ia};
+    return {place(ia), ia >> region_bits_, ia};
   }
   [[nodiscard]] Pa place(u64 ia) const {
-    const u64 m = cfg_.region_lines();
-    return Pa{region_base(ia / m) + sg_[ia / m].translate(ia % m)};
+    const u64 q = ia >> region_bits_;
+    return Pa{region_base(q) + sg_[q].translate(ia & low_mask(region_bits_))};
   }
   [[nodiscard]] u64& domain_counter(u64 q) { return counter_[q]; }
   [[nodiscard]] u64 domain_interval() const { return effective_interval(); }
@@ -96,8 +99,17 @@ class RegionStartGap final : public BulkEngine<RegionStartGap> {
   }
   [[nodiscard]] u64 region_base(u64 q) const { return q * (cfg_.region_lines() + 1); }
 
+  /// Memo entry of an LA not randomized yet.
+  static constexpr u32 kUnmapped = ~u32{0};
+
   RbsgConfig cfg_;
+  u32 region_bits_{0};  ///< log2 of the region size
   std::unique_ptr<mapping::AddressMapper> mapper_;  ///< null = identity
+  /// randomize()'s memo, one entry per LA (empty without a randomizer),
+  /// so translate() writes it: an instance serves one thread, as for
+  /// every scheme. At 2^32 lines the IA 2^32 - 1 equals kUnmapped, so
+  /// that one LA re-evaluates the randomizer on every use.
+  mutable std::vector<u32> ia_of_;
   std::vector<StartGapRegion> sg_;
   std::vector<u64> counter_;
 };

@@ -70,7 +70,7 @@ class SecurityRbsg final : public BulkEngine<SecurityRbsg> {
   static constexpr Fold kFold = Fold::kExactReplay;
   [[nodiscard]] Loc locate(u64 la) const {
     const u64 ia = outer_.translate(la);
-    const u64 dom = ia == outer_.spare_ia() ? batch::kNoDomain : ia / cfg_.region_lines();
+    const u64 dom = ia == outer_.spare_ia() ? batch::kNoDomain : ia >> region_bits_;
     return {ia_to_pa(ia), dom, ia};
   }
   [[nodiscard]] u64& domain_counter(u64 q) { return inner_counter_[q]; }
@@ -103,6 +103,7 @@ class SecurityRbsg final : public BulkEngine<SecurityRbsg> {
   [[nodiscard]] Pa spare_pa() const { return Pa{physical_lines() - 1}; }
 
   SecurityRbsgConfig cfg_;
+  u32 region_bits_{0};  ///< log2 of the sub-region size
   DynamicFeistelOuter outer_;
   std::vector<StartGapRegion> inner_;
   std::vector<u64> inner_counter_;

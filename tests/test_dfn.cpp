@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <unordered_set>
 
 namespace srbsg::wl {
@@ -13,6 +15,30 @@ void expect_dfn_bijective(const DynamicFeistelOuter& d) {
     const u64 ia = d.translate(la);
     ASSERT_LE(ia, d.spare_ia());
     ASSERT_TRUE(used.insert(ia).second) << "collision at la " << la;
+  }
+}
+
+/// Runs `d` through `rounds` more full rounds, following every reported
+/// movement on a shadow data array (slot -> LA tag). After each advance
+/// it calls validate(), which cross-checks the live map against the
+/// isRemap rule, and checks that every LA's translate() points at its
+/// data. The shadow is seeded from translations made before the first
+/// movement since boot, and in the first round every line not yet moved
+/// translates through the isRemap rule.
+void walk_rounds_checked(DynamicFeistelOuter& d, u64 rounds) {
+  const u64 n = d.lines();
+  std::vector<u64> slot_data(n + 1, kInvalidAddr);
+  for (u64 la = 0; la < n; ++la) slot_data[d.translate(la)] = la;
+  const u64 target = d.rounds_completed() + rounds;
+  u64 movements = 0;
+  while (d.rounds_completed() < target) {
+    const auto mv = d.advance();
+    ASSERT_LT(++movements, 2 * n * rounds + 2) << "rounds did not terminate";
+    ASSERT_NO_THROW(d.validate()) << "after movement " << movements;
+    slot_data[mv.to] = slot_data[mv.from];
+    for (u64 la = 0; la < n; ++la) {
+      ASSERT_EQ(slot_data[d.translate(la)], la) << "after movement " << movements;
+    }
   }
 }
 
@@ -108,16 +134,46 @@ class DfnStages : public ::testing::TestWithParam<u32> {};
 
 TEST_P(DfnStages, ThreeRoundsStayConsistent) {
   DynamicFeistelOuter d(6, GetParam(), Rng(40 + GetParam()));
-  u64 rounds_target = d.rounds_completed() + 3;
-  u64 guard = 0;
-  while (d.rounds_completed() < rounds_target) {
-    d.advance();
-    ASSERT_LT(++guard, 10'000u);
-  }
+  walk_rounds_checked(d, 3);
   expect_dfn_bijective(d);
 }
 
 INSTANTIATE_TEST_SUITE_P(Stages, DfnStages, ::testing::Values(1u, 3u, 6u, 7u, 12u, 20u));
+
+// The live map at the odd width 11 (the repository benchmark's; an
+// odd-width Feistel network cycle-walks) under both permutation families,
+// and at width 6 under the table family (DfnStages covers width 6 under
+// the Feistel family).
+struct DfnShape {
+  u32 width;
+  OuterPrpKind kind;
+};
+
+std::string shape_name(const DfnShape& shape) {
+  return "w" + std::to_string(shape.width) +
+         (shape.kind == OuterPrpKind::kTablePrp ? "_table" : "_feistel");
+}
+
+// Test names print the shape, not the struct's bytes (padding included).
+void PrintTo(const DfnShape& shape, std::ostream* os) { *os << shape_name(shape); }
+
+class DfnLiveMap : public ::testing::TestWithParam<DfnShape> {};
+
+TEST_P(DfnLiveMap, ThreeRoundsFollowTheDataFlow) {
+  const DfnShape shape = GetParam();
+  DynamicFeistelOuter d(shape.width, 7, Rng(70 + shape.width), shape.kind);
+  walk_rounds_checked(d, 3);
+  expect_dfn_bijective(d);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DfnLiveMap,
+    ::testing::Values(DfnShape{6, OuterPrpKind::kTablePrp},
+                      DfnShape{11, OuterPrpKind::kCubingFeistel},
+                      DfnShape{11, OuterPrpKind::kTablePrp}),
+    [](const ::testing::TestParamInfo<DfnShape>& param_info) {
+      return shape_name(param_info.param);
+    });
 
 TEST(DfnTablePrp, BijectiveThroughRounds) {
   DynamicFeistelOuter d(6, 1, Rng(60), OuterPrpKind::kTablePrp);

@@ -39,6 +39,33 @@ TEST(Rbsg, RandomizerRoundTrips) {
   }
 }
 
+TEST(Rbsg, RandomizerRejectsOutOfRangeAddress) {
+  RegionStartGap s(small_cfg());
+  EXPECT_THROW((void)s.randomize(small_cfg().lines), CheckFailure);
+}
+
+TEST(Rbsg, RandomizerMemoIndependentOfQueryOrder) {
+  // randomize() memoizes on first use; the order in which LAs are first
+  // used must not change any answer.
+  for (const auto kind : {RbsgConfig::Randomizer::kFeistel, RbsgConfig::Randomizer::kMatrix}) {
+    auto cfg = small_cfg();
+    cfg.randomizer = kind;
+    RegionStartGap up(cfg), down(cfg);
+    // `up` fills its memo through translate() from LA 0, `down` through
+    // randomize() from the last LA.
+    std::vector<Pa> pa_up(cfg.lines);
+    std::vector<u64> ia_down(cfg.lines);
+    for (u64 la = 0; la < cfg.lines; ++la) pa_up[la] = up.translate(La{la});
+    for (u64 la = cfg.lines; la-- > 0;) ia_down[la] = down.randomize(la);
+    for (u64 la = 0; la < cfg.lines; ++la) {
+      EXPECT_EQ(up.randomize(la), ia_down[la]) << la;
+      EXPECT_EQ(down.translate(La{la}), pa_up[la]) << la;
+    }
+    EXPECT_NO_THROW(up.validate_state());
+    EXPECT_NO_THROW(down.validate_state());
+  }
+}
+
 TEST(Rbsg, RemapTriggersEveryInterval) {
   const auto cfg = small_cfg();
   RegionStartGap s(cfg);
@@ -153,6 +180,14 @@ TEST(Rbsg, ConfigValidation) {
   cfg = small_cfg();
   cfg.interval = 0;
   EXPECT_THROW(RegionStartGap{cfg}, CheckFailure);
+  cfg = small_cfg();
+  cfg.regions = 0;  // rejected before the region shift is derived
+  EXPECT_THROW(RegionStartGap{cfg}, CheckFailure);
+  cfg = small_cfg();
+  cfg.lines = u64{1} << 33;  // IAs no longer fit the randomizer memo
+  EXPECT_THROW(cfg.validate(), CheckFailure);
+  cfg.randomizer = RbsgConfig::Randomizer::kNone;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 }  // namespace

@@ -107,6 +107,9 @@ TEST(SecurityRbsg, ConfigValidation) {
   cfg = small_cfg();
   cfg.sub_regions = 3;
   EXPECT_THROW(SecurityRbsg{cfg}, CheckFailure);
+  cfg = small_cfg();
+  cfg.sub_regions = 0;  // rejected before the region shift is derived
+  EXPECT_THROW(SecurityRbsg{cfg}, CheckFailure);
 }
 
 class SecurityRbsgShapes
