@@ -13,11 +13,12 @@
 //   --seeds N       seeded replicas per configuration
 //   --scale B       log2 of the scaled bank's line count
 //   --json PATH     write machine-readable results to PATH
-//   --trace-out PATH  write a JSONL event trace (telemetry_schema 2;
-//                     --telemetry is a deprecated alias)
+//   --trace-out PATH  write a JSONL event trace (telemetry_schema 2)
 // Each bench declares which flags it honors; setting an unsupported flag
 // prints a notice instead of silently doing nothing.
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -64,8 +65,7 @@ struct BenchOptions {
   u64 seeds{0};            ///< 0 = bench default (quick/FULL dependent)
   u64 scale{0};            ///< 0 = bench default; else log2(scaled bank lines)
   std::string json;        ///< empty = no JSON output
-  /// Empty = telemetry off; else the JSONL trace path (--trace-out, or
-  /// its deprecated alias --telemetry).
+  /// Empty = telemetry off; else the JSONL trace path (--trace-out).
   std::string telemetry;
   /// write_cycle engine tier for simulation runs (--engine
   /// reference|windowed|epoch). Benches that race tiers against each
@@ -82,7 +82,7 @@ struct BenchOptions {
 inline void print_bench_usage(std::string_view prog, unsigned supported) {
   std::cout << "usage: " << prog << " [flags]\n";
   if (supported & kFlagThreads) {
-    std::cout << "  --threads N   sweep pool threads (0 = hardware)\n";
+    std::cout << "  --threads N   sweep pool threads (0 = hardware, at most 1024)\n";
   }
   if (supported & kFlagSeeds) {
     std::cout << "  --seeds N     seeded replicas per configuration\n";
@@ -92,7 +92,7 @@ inline void print_bench_usage(std::string_view prog, unsigned supported) {
   }
   if (supported & kFlagJson) std::cout << "  --json PATH   write machine-readable results\n";
   if (supported & kFlagTelemetry) {
-    std::cout << "  --trace-out PATH  write a JSONL event trace (alias: --telemetry)\n";
+    std::cout << "  --trace-out PATH  write a JSONL event trace\n";
   }
   if (supported & kFlagEngine) {
     std::cout << "  --engine T    write_cycle engine tier: reference|windowed|epoch\n";
@@ -114,10 +114,13 @@ inline BenchOptions parse_bench_options(int argc, char** argv, unsigned supporte
     }
     return argv[++i];
   };
+  // Counts are plain decimal digits: strtoull alone skips leading blanks
+  // and accepts a sign, so "-1" would wrap to 2^64 - 1.
   auto parse_u64 = [&](const char* text, std::string_view flag) -> u64 {
     char* end = nullptr;
+    errno = 0;
     const u64 v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' || errno != 0) {
       std::cerr << prog << ": bad value '" << text << "' for " << flag << "\n";
       std::exit(2);
     }
@@ -129,7 +132,13 @@ inline BenchOptions parse_bench_options(int argc, char** argv, unsigned supporte
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
     if (a == "--threads") {
-      o.threads = static_cast<std::size_t>(parse_u64(need_value(i, a), a));
+      const u64 threads = parse_u64(need_value(i, a), a);
+      if (threads > ThreadPool::kMaxThreads) {
+        std::cerr << prog << ": --threads " << threads << " exceeds "
+                  << ThreadPool::kMaxThreads << "\n";
+        std::exit(2);
+      }
+      o.threads = static_cast<std::size_t>(threads);
       note_unsupported(a, (supported & kFlagThreads) != 0);
     } else if (a == "--seeds") {
       o.seeds = parse_u64(need_value(i, a), a);
@@ -144,7 +153,7 @@ inline BenchOptions parse_bench_options(int argc, char** argv, unsigned supporte
     } else if (a == "--json") {
       o.json = need_value(i, a);
       note_unsupported(a, (supported & kFlagJson) != 0);
-    } else if (a == "--trace-out" || a == "--telemetry") {
+    } else if (a == "--trace-out") {
       o.telemetry = need_value(i, a);
       note_unsupported(a, (supported & kFlagTelemetry) != 0);
     } else if (a == "--engine") {

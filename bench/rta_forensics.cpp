@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
     std::cout << "\nwrote " << opts.telemetry << " (" << collector.runs() << " runs, "
               << collector.total_events() << " events; validate with tools/srbsg-trace)\n";
   } else {
-    std::cout << "\n(no --telemetry PATH given; trace discarded after the summary above)\n";
+    std::cout << "\n(no --trace-out PATH given; trace discarded after the summary above)\n";
   }
   return 0;
 }

@@ -18,6 +18,9 @@ namespace srbsg {
 
 class ThreadPool {
  public:
+  /// Largest worker count the command-line tools accept for --threads.
+  static constexpr std::size_t kMaxThreads = 1024;
+
   /// `threads == 0` means hardware_concurrency (at least 1).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();

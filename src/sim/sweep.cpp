@@ -62,10 +62,4 @@ AverageLifetime average_lifetime(const LifetimeConfig& base, u64 seeds, ThreadPo
   return average_over(run_sweep(seeded_replicas(base, seeds), pool, arena));
 }
 
-double average_lifetime_ns(const LifetimeConfig& base, u64 seeds, ThreadPool& pool) {
-  const AverageLifetime avg = average_lifetime(base, seeds, pool);
-  check(avg.counted > 0, "average_lifetime_ns: no run reached failure within budget");
-  return avg.mean_ns;
-}
-
 }  // namespace srbsg::sim

@@ -46,11 +46,4 @@ struct AverageLifetime {
 [[nodiscard]] AverageLifetime average_lifetime(const LifetimeConfig& base, u64 seeds,
                                                ThreadPool& pool, WorkerArena& arena);
 
-/// Back-compat wrapper around average_lifetime(): returns the mean alone
-/// and throws CheckFailure when no replica reached failure. Partial
-/// convergence is not detectable through this interface — prefer
-/// average_lifetime() in new code.
-[[nodiscard]] double average_lifetime_ns(const LifetimeConfig& base, u64 seeds,
-                                         ThreadPool& pool);
-
 }  // namespace srbsg::sim

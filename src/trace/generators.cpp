@@ -48,17 +48,6 @@ Trace make_sequential(const GeneratorOptions& opt) {
   return t;
 }
 
-Trace make_strided(const GeneratorOptions& opt, u64 stride) {
-  check(stride > 0, "make_strided: stride must be positive");
-  Rng rng(opt.seed);
-  Trace t("strided");
-  t.reserve(opt.accesses);
-  for (u64 i = 0; i < opt.accesses; ++i) {
-    t.add(make_record(rng, opt, (i * stride) % opt.lines));
-  }
-  return t;
-}
-
 Trace make_zipf(const GeneratorOptions& opt, double alpha) {
   check(alpha > 0.0, "make_zipf: alpha must be positive");
   Rng rng(opt.seed);
@@ -124,18 +113,6 @@ void uniform_address_block(u64 lines, u64 seed, u64 start, std::span<u64> out) {
     }
     out[i] = static_cast<u64>(m >> 64);
   }
-}
-
-Trace make_single_address(const GeneratorOptions& opt, u64 addr) {
-  Rng rng(opt.seed);
-  Trace t("single-address");
-  t.reserve(opt.accesses);
-  for (u64 i = 0; i < opt.accesses; ++i) {
-    TraceRecord r = make_record(rng, opt, addr);
-    r.is_write = true;
-    t.add(r);
-  }
-  return t;
 }
 
 }  // namespace srbsg::trace

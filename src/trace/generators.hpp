@@ -22,9 +22,6 @@ struct GeneratorOptions {
 /// Sequential sweep (streaming workload) with wrap-around.
 [[nodiscard]] Trace make_sequential(const GeneratorOptions& opt);
 
-/// Strided sweep with the given stride.
-[[nodiscard]] Trace make_strided(const GeneratorOptions& opt, u64 stride);
-
 /// Zipf-distributed addresses (exponent `alpha`, rank-shuffled so hot
 /// lines are scattered across the space).
 [[nodiscard]] Trace make_zipf(const GeneratorOptions& opt, double alpha);
@@ -33,9 +30,6 @@ struct GeneratorOptions {
 /// the classic hotspot pattern that kills unleveled PCM.
 [[nodiscard]] Trace make_hotspot(const GeneratorOptions& opt, double hot_fraction,
                                  double hot_traffic);
-
-/// Adversarial single-address stream (RAA as a trace).
-[[nodiscard]] Trace make_single_address(const GeneratorOptions& opt, u64 addr);
 
 /// Fills `out` with uniform addresses in [0, lines) from a counter-based
 /// splitmix64 stream: element k depends only on (seed, start + k), so any

@@ -1,6 +1,5 @@
 #include "trace/trace.hpp"
 
-#include <array>
 #include <istream>
 #include <ostream>
 #include <unordered_set>
@@ -34,8 +33,6 @@ pcm::DataClass data_from_char(char c) {
       throw CheckFailure("trace: bad data class char");
   }
 }
-
-constexpr std::array<char, 8> kMagic{'S', 'R', 'B', 'S', 'G', 'T', 'R', '1'};
 
 }  // namespace
 
@@ -76,41 +73,6 @@ Trace Trace::load_text(std::istream& is, std::string name) {
   while (is >> gap >> rw >> std::hex >> addr >> std::dec >> dc) {
     check(rw == 'R' || rw == 'W', "trace: bad R/W flag");
     t.add(TraceRecord{gap, rw == 'W', addr, data_from_char(dc)});
-  }
-  return t;
-}
-
-void Trace::save_binary(std::ostream& os) const {
-  os.write(kMagic.data(), kMagic.size());
-  const u64 n = records_.size();
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  for (const auto& r : records_) {
-    os.write(reinterpret_cast<const char*>(&r.instruction_gap), sizeof(r.instruction_gap));
-    const u8 flags = static_cast<u8>((r.is_write ? 1u : 0u) |
-                                     (static_cast<u8>(r.data) << 1));
-    os.write(reinterpret_cast<const char*>(&flags), sizeof(flags));
-    os.write(reinterpret_cast<const char*>(&r.addr), sizeof(r.addr));
-  }
-}
-
-Trace Trace::load_binary(std::istream& is, std::string name) {
-  std::array<char, 8> magic{};
-  is.read(magic.data(), magic.size());
-  check(is.good() && magic == kMagic, "trace: bad binary header");
-  u64 n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  Trace t(std::move(name));
-  t.reserve(n);
-  for (u64 i = 0; i < n; ++i) {
-    TraceRecord r;
-    u8 flags = 0;
-    is.read(reinterpret_cast<char*>(&r.instruction_gap), sizeof(r.instruction_gap));
-    is.read(reinterpret_cast<char*>(&flags), sizeof(flags));
-    is.read(reinterpret_cast<char*>(&r.addr), sizeof(r.addr));
-    check(is.good(), "trace: truncated binary record");
-    r.is_write = (flags & 1) != 0;
-    r.data = static_cast<pcm::DataClass>(flags >> 1);
-    t.add(r);
   }
   return t;
 }

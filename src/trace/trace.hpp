@@ -1,5 +1,5 @@
 #pragma once
-// Memory-access traces: the record format, container, and text/binary IO.
+// Memory-access traces: the record format, container, and text IO.
 // Traces drive the performance model (§V.C.4 substitute) and the wear
 // studies on "normal" workloads.
 
@@ -50,10 +50,6 @@ class Trace {
   /// Text form: one record per line, "<gap> <R|W> <addr-hex> <0|1|M>".
   void save_text(std::ostream& os) const;
   [[nodiscard]] static Trace load_text(std::istream& is, std::string name = "trace");
-
-  /// Compact binary form with a magic header.
-  void save_binary(std::ostream& os) const;
-  [[nodiscard]] static Trace load_binary(std::istream& is, std::string name = "trace");
 
  private:
   std::string name_;

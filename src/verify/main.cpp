@@ -5,6 +5,7 @@
 // Exit codes: 0 all selected cells pass (or replay passes), 1 at least
 // one counterexample (or replay reproduces), 2 usage/internal error.
 
+#include <cctype>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -28,7 +29,8 @@ void usage(std::ostream& os) {
         "\n"
         "options:\n"
         "  --list                 print the cell grid and exit\n"
-        "  --threads N            worker threads (0 = hardware concurrency)\n"
+        "  --threads N            worker threads (0 = hardware concurrency,\n"
+        "                         at most 1024)\n"
         "  --json PATH            write the JSON report to PATH\n"
         "  --replay STR           replay one counterexample string and exit\n"
         "  --mutate KIND          inject a fault (selftest aid): none,\n"
@@ -54,12 +56,20 @@ struct Options {
   bool selftest{false};
 };
 
+/// Plain decimal digits: std::stoull alone skips leading blanks and
+/// accepts a sign, so "-1" would wrap to 2^64 - 1.
 u64 parse_u64(const std::string& value, const std::string& flag) {
+  std::size_t end = 0;
+  u64 v = 0;
   try {
-    return std::stoull(value);
+    v = std::stoull(value, &end);
   } catch (const std::exception&) {
-    throw CheckFailure("bad value for " + flag + ": " + value);
+    end = 0;
   }
+  check(!value.empty() && std::isdigit(static_cast<unsigned char>(value[0])) &&
+            end == value.size(),
+        "bad value for " + flag + ": " + value);
+  return v;
 }
 
 Options parse_args(int argc, char** argv) {
@@ -75,7 +85,11 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--selftest") {
       opt.selftest = true;
     } else if (arg == "--threads") {
-      opt.threads = parse_u64(need(i, arg), arg);
+      const u64 threads = parse_u64(need(i, arg), arg);
+      check(threads <= ThreadPool::kMaxThreads,
+            "--threads " + std::to_string(threads) + " exceeds " +
+                std::to_string(ThreadPool::kMaxThreads));
+      opt.threads = static_cast<std::size_t>(threads);
     } else if (arg == "--json") {
       opt.json_path = need(i, arg);
     } else if (arg == "--replay") {
@@ -85,13 +99,13 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--arm-after") {
       opt.mut.arm_after = parse_u64(need(i, arg), arg);
     } else if (arg == "--min-width") {
-      opt.bounds.min_width = static_cast<u32>(parse_u64(need(i, arg), arg));
+      opt.bounds.min_width = checked_narrow<u32>(parse_u64(need(i, arg), arg));
     } else if (arg == "--max-width") {
-      opt.bounds.max_width = static_cast<u32>(parse_u64(need(i, arg), arg));
+      opt.bounds.max_width = checked_narrow<u32>(parse_u64(need(i, arg), arg));
     } else if (arg == "--max-stages") {
-      opt.bounds.max_stages = static_cast<u32>(parse_u64(need(i, arg), arg));
+      opt.bounds.max_stages = checked_narrow<u32>(parse_u64(need(i, arg), arg));
     } else if (arg == "--key-budget-bits") {
-      opt.bounds.key_budget_bits = static_cast<u32>(parse_u64(need(i, arg), arg));
+      opt.bounds.key_budget_bits = checked_narrow<u32>(parse_u64(need(i, arg), arg));
     } else if (arg == "--bank-lines") {
       opt.bounds.bank_lines = verify::detail::parse_trace(need(i, arg));
     } else if (arg == "--seeds") {

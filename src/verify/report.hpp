@@ -1,9 +1,8 @@
 #pragma once
-// Machine-readable verify reports. The C++ CLI emits one JSON document
-// per run; tools/srbsg-verify parses it to update the verified-cell
-// cache and to translate counterexamples into SARIF results (reusing
-// tools/analyze/sarif.py). schema_version gates compatibility on the
-// Python side.
+// Machine-readable verify reports. The CLI emits one JSON document per
+// run (--json PATH): the bounds, a pass/fail summary and, per cell, its
+// states, wall time and any minimized counterexample with its replay
+// string. schema_version gates compatibility for readers.
 
 #include <string>
 #include <vector>

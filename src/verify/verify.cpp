@@ -47,7 +47,9 @@ std::vector<u64> parse_trace(const std::string& csv) {
   std::istringstream is(csv);
   std::string item;
   while (std::getline(is, item, ',')) {
-    check(!item.empty(), "replay trace: empty element");
+    // Digits only: std::stoull would wrap "-16" to 2^64 - 16.
+    check(!item.empty() && item.find_first_not_of("0123456789") == std::string::npos,
+          "bad list element '" + item + "' (want unsigned decimal)");
     out.push_back(std::stoull(item));
   }
   return out;

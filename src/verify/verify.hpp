@@ -24,8 +24,7 @@
 //
 // The state space of one (check, scheme, width) cell is sharded across a
 // ThreadPool via parallel_for; results are deterministic (the lowest
-// failing state index wins). The CLI (tools/srbsg-verify) caches verified
-// cells keyed on a content hash of the sources they exercise.
+// failing state index wins).
 
 #include <optional>
 #include <string>
@@ -99,7 +98,8 @@ struct CellResult {
   std::optional<Counterexample> cex;
 };
 
-/// Source file each family anchors to in SARIF reports.
+/// Source file each family's proof is about (the report's per-cell
+/// "source" field).
 [[nodiscard]] std::string check_source_file(const std::string& check);
 
 /// The full cell grid at `bounds`, in deterministic order.

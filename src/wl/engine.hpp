@@ -13,8 +13,7 @@
 // The model a scheme supplies (private, with the engine as a friend):
 //   * locate(la) -> Loc{pa, dom, ia}: where `la` lives now, the counter
 //     domain its write advances (kNoDomain: none, e.g. the DFN spare
-//     line), and its outer-level address. A static outer level
-//     (kStaticOuter, RBSG's randomizer) also supplies place(ia);
+//     line), and its outer-level address;
 //   * its counters, at most two levels. kDomainCounters: one counter per
 //     domain (domain_counter(q), domain_interval()) whose step is
 //     fire_domain(q, bank, moved). kGlobalCounter: one bank-wide counter
@@ -119,11 +118,6 @@ class BulkEngine : public WearLeveler {
   static constexpr bool kDomainCounters = false;
   static constexpr bool kGlobalCounter = false;
   static constexpr Fold kFold = Fold::kNone;
-  /// True when an address's outer-level address and domain never change
-  /// (a static randomizer). The scheme then supplies place(ia), and the
-  /// engine locates a pattern once per call and afterwards only
-  /// re-places the cached outer addresses.
-  static constexpr bool kStaticOuter = false;
   void note_data_writes(Pa /*pa*/, u64 /*writes*/) {}
   /// Closed form: slots besides the pattern's that the uniformity scan
   /// must skip (stale content) while the budget still covers their wear.
@@ -296,14 +290,6 @@ bool BulkEngine<S>::refresh(std::span<const La> pattern, const pcm::PcmBank& ban
   batch::Window& w = window_;
   const u64 period = pattern.size();
   w.pas_fresh.resize(period);
-  if constexpr (S::kStaticOuter) {
-    if (w.ias.size() == period) {
-      for (u64 i = 0; i < period; ++i) w.pas_fresh[i] = self().place(w.ias[i]);
-      if (!batch::adopt_if_changed(w.pas, w.pas_fresh)) return false;
-      batch::build_line_scheds(w.pas, bank, w.lines);
-      return true;
-    }
-  }
   w.keys_fresh.resize(period);
   w.ias.resize(period);
   for (u64 i = 0; i < period; ++i) {

@@ -73,15 +73,11 @@ class RegionStartGap final : public BulkEngine<RegionStartGap> {
   // Remapping rule (wl/engine.hpp): a static randomizer picks the region,
   // whose write counter fires one gap movement every ψ writes.
   static constexpr bool kDomainCounters = true;
-  static constexpr bool kStaticOuter = true;
   static constexpr Fold kFold = Fold::kUniform;
   [[nodiscard]] Loc locate(u64 la) const {
     const u64 ia = randomize(la);
-    return {place(ia), ia >> region_bits_, ia};
-  }
-  [[nodiscard]] Pa place(u64 ia) const {
     const u64 q = ia >> region_bits_;
-    return Pa{region_base(q) + sg_[q].translate(ia & low_mask(region_bits_))};
+    return {Pa{region_base(q) + sg_[q].translate(ia & low_mask(region_bits_))}, q, ia};
   }
   [[nodiscard]] u64& domain_counter(u64 q) { return counter_[q]; }
   [[nodiscard]] u64 domain_interval() const { return effective_interval(); }

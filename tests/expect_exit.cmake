@@ -1,0 +1,23 @@
+# ctest helper: runs the command after `--` and passes only when it exits
+# with the status given as -DEXPECT=<code>:
+#
+#   cmake -DEXPECT=2 -P expect_exit.cmake -- <program> [args...]
+set(cmd "")
+set(after_dashes FALSE)
+math(EXPR last "${CMAKE_ARGC} - 1")
+foreach(i RANGE ${last})
+  if(after_dashes)
+    list(APPEND cmd "${CMAKE_ARGV${i}}")
+  elseif(CMAKE_ARGV${i} STREQUAL "--")
+    set(after_dashes TRUE)
+  endif()
+endforeach()
+if(NOT cmd OR NOT DEFINED EXPECT)
+  message(FATAL_ERROR "usage: cmake -DEXPECT=<code> -P expect_exit.cmake -- <program> [args...]")
+endif()
+
+execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc STREQUAL EXPECT)
+  message(FATAL_ERROR "expected exit ${EXPECT}, got ${rc}\n${out}${err}")
+endif()
+message(STATUS "exit ${rc} as expected: ${err}")

@@ -4,24 +4,9 @@
 
 #include "mapping/binary_matrix.hpp"
 #include "mapping/feistel.hpp"
-#include "mapping/xor_mapper.hpp"
 
 namespace srbsg::mapping {
 namespace {
-
-TEST(XorMapper, SelfInverse) {
-  XorMapper m(16, 0xBEEF);
-  for (u64 x = 0; x < 2000; ++x) {
-    EXPECT_EQ(m.unmap(m.map(x)), x);
-    EXPECT_EQ(m.map(m.map(x)), x);  // XOR is an involution
-  }
-}
-
-TEST(XorMapper, KeyMasked) {
-  XorMapper m(8, 0xFFFF);
-  EXPECT_EQ(m.key(), 0xFFu);
-  EXPECT_TRUE(verify_bijection(m));
-}
 
 TEST(Quality, FeistelAvalancheImprovesWithStages) {
   Rng seeder(20);
@@ -49,14 +34,6 @@ TEST(Quality, BinaryMatrixAvalancheIsNearIdeal) {
   Rng rng(28);
   const auto q = measure_quality(m, 4000, 16, rng);
   EXPECT_NEAR(q.avalanche, 0.5, 0.05);
-}
-
-TEST(Quality, XorMapperHasPoorAvalanche) {
-  XorMapper m(16, 0x1234);
-  Rng rng(22);
-  const auto q = measure_quality(m, 4000, 16, rng);
-  // XOR flips exactly the input bit: avalanche = 1/width, far from 0.5.
-  EXPECT_NEAR(q.avalanche, 1.0 / 16.0, 0.01);
 }
 
 TEST(Quality, FeistelScattersSequentialInput) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
 #include "sim/write_distribution.hpp"
 
 namespace srbsg::sim {
@@ -78,12 +77,6 @@ TEST(Sweep, RunsAllConfigsInOrder) {
   }
 }
 
-TEST(Sweep, AverageLifetimeOverSeeds) {
-  ThreadPool pool(2);
-  const double avg = average_lifetime_ns(base_cfg(), 3, pool);
-  EXPECT_GT(avg, 0.0);
-}
-
 TEST(Sweep, AverageLifetimeReportsFullConvergence) {
   ThreadPool pool(2);
   const AverageLifetime avg = average_lifetime(base_cfg(), 3, pool);
@@ -105,8 +98,6 @@ TEST(Sweep, AverageLifetimeSurfacesNonConvergence) {
   EXPECT_EQ(avg.counted, 0u);
   EXPECT_FALSE(avg.complete());
   EXPECT_EQ(avg.mean_ns, 0.0);
-  // The legacy scalar interface cannot represent this; it throws.
-  EXPECT_THROW((void)average_lifetime_ns(c, 3, pool), CheckFailure);
 }
 
 TEST(Sweep, AverageLifetimeSharedArenaMatches) {

@@ -4,9 +4,6 @@
 
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
-
-#include "common/check.hpp"
 
 namespace srbsg::trace {
 namespace {
@@ -38,13 +35,6 @@ TEST(Generators, SequentialWraps) {
   EXPECT_EQ(t[1025].addr, 1u);
 }
 
-TEST(Generators, StridedPattern) {
-  const auto t = make_strided(small_opt(), 7);
-  EXPECT_EQ(t[0].addr, 0u);
-  EXPECT_EQ(t[1].addr, 7u);
-  EXPECT_EQ(t[2].addr, 14u);
-}
-
 TEST(Generators, ZipfIsSkewed) {
   const auto t = make_zipf(small_opt(), 1.2);
   std::unordered_map<u64, u64> counts;
@@ -64,14 +54,6 @@ TEST(Generators, HotspotConcentratesTraffic) {
   EXPECT_NEAR(static_cast<double>(hot) / static_cast<double>(t.size()), 0.9, 0.05);
 }
 
-TEST(Generators, SingleAddressIsAllWrites) {
-  const auto t = make_single_address(small_opt(), 42);
-  for (const auto& r : t) {
-    EXPECT_TRUE(r.is_write);
-    EXPECT_EQ(r.addr, 42u);
-  }
-}
-
 TEST(TraceIo, TextRoundTrip) {
   const auto t = make_uniform(small_opt());
   std::stringstream ss;
@@ -84,24 +66,6 @@ TEST(TraceIo, TextRoundTrip) {
     EXPECT_EQ(t[i].instruction_gap, t2[i].instruction_gap);
     EXPECT_EQ(t[i].data, t2[i].data);
   }
-}
-
-TEST(TraceIo, BinaryRoundTrip) {
-  const auto t = make_zipf(small_opt(), 0.8);
-  std::stringstream ss;
-  t.save_binary(ss);
-  const auto t2 = Trace::load_binary(ss);
-  ASSERT_EQ(t2.size(), t.size());
-  for (std::size_t i = 0; i < t.size(); i += 97) {
-    EXPECT_EQ(t[i].addr, t2[i].addr);
-    EXPECT_EQ(t[i].is_write, t2[i].is_write);
-  }
-}
-
-TEST(TraceIo, BinaryRejectsGarbage) {
-  std::stringstream ss;
-  ss << "not a trace file at all";
-  EXPECT_THROW((void)Trace::load_binary(ss), CheckFailure);
 }
 
 TEST(TraceStats, MpkiComputed) {

@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
 """Inspect, validate and export srbsg telemetry JSONL traces.
 
-Reads both telemetry_schema 1 (events + wear snapshots + counters) and
-telemetry_schema 2 (adds span events, stall/write latency histograms
-and decoded span/reason names). Subcommands (a leading ``--`` is
+Reads telemetry_schema 2, the layout the Collector writes: events, wear
+snapshots, counters, span events, stall/write latency histograms and
+decoded span/reason names. Subcommands (a leading ``--`` is
 accepted, so ``srbsg-trace --validate`` and ``srbsg-trace validate``
 are the same):
 
   validate FILE [--expect EV[,EV...]]
-      Structural checks: header first with a known telemetry_schema,
+      Structural checks: header first with telemetry_schema 2,
       known record/event types, per-run seq monotonicity, run
       bookkeeping (retained/dropped vs emitted event lines), and the
       attribution invariant — every GapMoved / KeyRerandomized must
       follow a RemapTriggered from the same run and scheme at the same
-      sim instant. Schema 2 additionally pairs SpanBegin/SpanEnd per
-      (run, scheme, span kind) and cross-checks histogram records. A
-      span cut by ring overflow (run.dropped > 0) is reported as
-      truncated, not an error; an unbalanced span in a run that dropped
-      nothing is an error. Events at the ring's truncation boundary
+      sim instant. It also pairs SpanBegin/SpanEnd per (run, scheme,
+      span kind) and cross-checks histogram records. A span cut by
+      ring overflow (run.dropped > 0) is reported as truncated, not an
+      error; an unbalanced span in a run that dropped nothing is an
+      error. Events at the ring's truncation boundary
       (oldest retained timestamp of a run that dropped events) are
       exempt from attribution: their trigger may have been dropped.
       --expect additionally requires at least one event of each listed
@@ -61,7 +61,7 @@ import math
 import sys
 from collections import Counter
 
-SCHEMA_VERSIONS = (1, 2)
+SCHEMA_VERSION = 2
 
 EVENT_TYPES = (
     "RemapTriggered",
@@ -76,14 +76,8 @@ EVENT_TYPES = (
     "SpanEnd",
 )
 
-# Event types only a schema-2 writer emits.
-SCHEMA2_EVENT_TYPES = ("SpanBegin", "SpanEnd")
-
 RECORD_TYPES = ("header", "run", "event", "wear_snapshot", "counters",
                 "counters_merged", "hist", "hist_merged")
-
-# Record types only a schema-2 writer emits.
-SCHEMA2_RECORD_TYPES = ("hist", "hist_merged")
 
 SPAN_KINDS = ("RemapEpoch", "BatchChunk", "EpochProjection",
               "ExactReplayFallback", "DetectorEval", "ChannelSymbol")
@@ -131,15 +125,13 @@ def runs_of(records: list[dict]) -> dict[int, dict]:
     return {r["entry"]: r for r in records if r["type"] == "run"}
 
 
-def schema_of(records: list[dict]) -> int:
+def check_schema(records: list[dict]) -> None:
     header = records[0]
     if header["type"] != "header":
         raise TraceError("first record must be the header")
     schema = header.get("telemetry_schema")
-    if schema not in SCHEMA_VERSIONS:
-        raise TraceError(
-            f"telemetry_schema must be one of {SCHEMA_VERSIONS}, got {schema!r}")
-    return schema
+    if schema != SCHEMA_VERSION:
+        raise TraceError(f"telemetry_schema must be {SCHEMA_VERSION}, got {schema!r}")
 
 
 def bucket_lo(idx: int) -> int:
@@ -228,7 +220,7 @@ def _validate_hists(records: list[dict], runs: dict[int, dict]) -> int:
             merged[name] = rec
     for name in HIST_NAMES:
         if name not in merged:
-            raise TraceError(f"schema 2 trace is missing the merged {name} histogram")
+            raise TraceError(f"trace is missing the merged {name} histogram")
         if merged[name]["count"] != per_run[name]:
             raise TraceError(
                 f"merged {name} histogram counts {merged[name]['count']} samples, "
@@ -237,15 +229,11 @@ def _validate_hists(records: list[dict], runs: dict[int, dict]) -> int:
 
 
 def validate(records: list[dict], expect: list[str]) -> str:
-    schema = schema_of(records)
+    check_schema(records)
     header = records[0]
     for rec in records:
         if rec["type"] not in RECORD_TYPES:
             raise TraceError(f"line {rec['_line']}: unknown record type {rec['type']!r}")
-        if schema == 1 and rec["type"] in SCHEMA2_RECORD_TYPES:
-            raise TraceError(
-                f"line {rec['_line']}: schema 1 trace contains a schema 2 "
-                f"record ({rec['type']})")
 
     runs = runs_of(records)
     events = events_of(records)
@@ -262,10 +250,6 @@ def validate(records: list[dict], expect: list[str]) -> str:
     for ev in events:
         if ev["ev"] not in EVENT_TYPES:
             raise TraceError(f"line {ev['_line']}: unknown event type {ev['ev']!r}")
-        if schema == 1 and ev["ev"] in SCHEMA2_EVENT_TYPES:
-            raise TraceError(
-                f"line {ev['_line']}: schema 1 trace contains a schema 2 "
-                f"event ({ev['ev']})")
         if ev["entry"] not in runs:
             raise TraceError(f"line {ev['_line']}: event for entry {ev['entry']} with no run")
         by_entry.setdefault(ev["entry"], []).append(ev)
@@ -303,12 +287,11 @@ def validate(records: list[dict], expect: list[str]) -> str:
                     raise TraceError(
                         f"line {ev['_line']}: {ev['ev']} at t={ev['t']} (entry {entry}, "
                         f"scheme {ev['scheme']}) has no RemapTriggered at the same instant")
-        if schema >= 2:
-            s, trunc = _validate_spans(entry, evs, run["dropped"])
-            spans += s
-            truncated += trunc
+        s, trunc = _validate_spans(entry, evs, run["dropped"])
+        spans += s
+        truncated += trunc
 
-    hists = _validate_hists(records, runs) if schema >= 2 else 0
+    hists = _validate_hists(records, runs)
 
     for want in expect:
         if want not in EVENT_TYPES:
@@ -317,11 +300,9 @@ def validate(records: list[dict], expect: list[str]) -> str:
             raise TraceError(f"--expect {want}: no such event in the trace")
 
     attributed = sum(1 for ev in events if ev["ev"] in ATTRIBUTED)
-    msg = (f"{len(runs)} runs, {len(events)} retained events "
-           f"({attributed} moves/rekeys attributed), schema {schema}")
-    if schema >= 2:
-        msg += f", {spans} spans ({truncated} truncated), {hists} histograms"
-    return msg
+    return (f"{len(runs)} runs, {len(events)} retained events "
+            f"({attributed} moves/rekeys attributed), schema {SCHEMA_VERSION}, "
+            f"{spans} spans ({truncated} truncated), {hists} histograms")
 
 
 def timeline(records: list[dict], entry: int | None, limit: int) -> None:
@@ -496,8 +477,7 @@ def mutual_information(pairs: list[tuple[int, int]]) -> float:
 
 def channel(records: list[dict], as_json: bool) -> None:
     """Empirical capacity of the stall side channel, per run."""
-    if schema_of(records) < 2:
-        raise TraceError("channel analysis needs a schema 2 trace with ChannelSymbol spans")
+    check_schema(records)
     runs = runs_of(records)
     results = []
     for ent in sorted(runs):

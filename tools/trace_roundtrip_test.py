@@ -7,9 +7,8 @@ validate`, which checks the trace structure, the attribution invariant
 (every GapMoved / KeyRerandomized follows a same-instant
 RemapTriggered), span pairing and histogram consistency, and requires
 the event types the bench is guaranteed to produce. The Chrome /
-Prometheus exporters are smoke-tested on the same trace, and a
-hand-written telemetry_schema 1 trace is validated to pin the
-back-compat reader path.
+Prometheus exporters are smoke-tested on the same trace, and a trace
+whose header names another telemetry_schema must be rejected.
 
 Exits 77 (the ctest SKIP code) when the bench binary has not been built
 in this tree.
@@ -24,20 +23,8 @@ import subprocess
 import sys
 import tempfile
 
-# A minimal but fully-consistent schema 1 trace: one run, two retained
-# events, a remap trigger attributed by a same-instant gap move. The v2
-# reader must keep accepting exactly this layout.
-V1_TRACE = "\n".join([
-    '{"type":"header","telemetry_schema":1,"runs":1,"events":2}',
-    '{"type":"run","entry":0,"scheme":"security-rbsg","attack":"rta-probe",'
-    '"seed":1,"events":2,"retained":2,"dropped":0,"snapshots":0}',
-    '{"type":"event","entry":0,"seq":0,"t":100,"ev":"RemapTriggered",'
-    '"scheme":"security-rbsg","domain":-1,"a":0,"b":0}',
-    '{"type":"event","entry":0,"seq":1,"t":100,"ev":"GapMoved",'
-    '"scheme":"security-rbsg","domain":-1,"a":3,"b":4}',
-    '{"type":"counters","entry":0,"counters":{"ctl.writes":1}}',
-    '{"type":"counters_merged","counters":{"ctl.writes":1}}',
-]) + "\n"
+# The header of a trace in the retired telemetry_schema 1 layout.
+OLD_SCHEMA_HEADER = '{"type":"header","telemetry_schema":1,"runs":0,"events":0}\n'
 
 # Event types a seeded RTA-probe-vs-SecurityRBSG run always produces:
 # inner/outer remaps with their moves and DFN re-keys, the probe's
@@ -124,23 +111,21 @@ def main() -> int:
                 print(f"FAIL: Prometheus export is missing {metric}", file=sys.stderr)
                 return 1
 
-        # Back-compat: a schema 1 trace (no spans, no histograms) must
-        # still validate under the v2 reader.
+        # Only schema 2 is read: an older header fails validation.
         v1 = pathlib.Path(tmp) / "v1.jsonl"
-        v1.write_text(V1_TRACE, encoding="utf-8")
+        v1.write_text(OLD_SCHEMA_HEADER, encoding="utf-8")
         old = subprocess.run(
-            [sys.executable, args.trace_tool, "validate", str(v1),
-             "--expect", "RemapTriggered,GapMoved"],
+            [sys.executable, args.trace_tool, "validate", str(v1)],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
         )
         sys.stdout.write(old.stdout)
-        if old.returncode != 0 or "schema 1" not in old.stdout:
-            print("FAIL: schema 1 back-compat trace did not validate", file=sys.stderr)
+        if old.returncode != 1 or "telemetry_schema must be 2" not in old.stdout:
+            print("FAIL: a telemetry_schema 1 trace was not rejected", file=sys.stderr)
             return 1
 
-    print("trace round-trip OK (schema 2 live trace + exporters + schema 1 back-compat)")
+    print("trace round-trip OK (schema 2 live trace + exporters + schema 1 rejected)")
     return 0
 
 
