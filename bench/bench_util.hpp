@@ -17,8 +17,6 @@
 // Each bench declares which flags it honors; setting an unsupported flag
 // prints a notice instead of silently doing nothing.
 
-#include <cctype>
-#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -56,8 +54,6 @@ enum BenchFlag : unsigned {
   kFlagJson = 1u << 3,
   kFlagTelemetry = 1u << 4,
   kFlagEngine = 1u << 5,
-  kFlagAll =
-      kFlagThreads | kFlagSeeds | kFlagScale | kFlagJson | kFlagTelemetry | kFlagEngine,
 };
 
 struct BenchOptions {
@@ -68,8 +64,7 @@ struct BenchOptions {
   /// Empty = telemetry off; else the JSONL trace path (--trace-out).
   std::string telemetry;
   /// write_cycle engine tier for simulation runs (--engine
-  /// reference|windowed|epoch). Benches that race tiers against each
-  /// other (perf_epoch) ignore it.
+  /// reference|windowed|epoch).
   wl::EngineTier engine{wl::EngineTier::kWindowed};
 
   /// Bench-default plumbing: flag value when given, `fallback` otherwise.
@@ -104,7 +99,7 @@ inline void print_bench_usage(std::string_view prog, unsigned supported) {
 /// One parser for every bench binary. Exits 0 on --help, 2 on malformed
 /// input; flags outside `supported` are accepted with a stderr notice so
 /// scripted grids can pass a uniform flag set.
-inline BenchOptions parse_bench_options(int argc, char** argv, unsigned supported = kFlagAll) {
+inline BenchOptions parse_bench_options(int argc, char** argv, unsigned supported) {
   BenchOptions o;
   const std::string_view prog = argc > 0 ? argv[0] : "bench";
   auto need_value = [&](int& i, std::string_view flag) -> const char* {
@@ -114,17 +109,14 @@ inline BenchOptions parse_bench_options(int argc, char** argv, unsigned supporte
     }
     return argv[++i];
   };
-  // Counts are plain decimal digits: strtoull alone skips leading blanks
-  // and accepts a sign, so "-1" would wrap to 2^64 - 1.
-  auto parse_u64 = [&](const char* text, std::string_view flag) -> u64 {
-    char* end = nullptr;
-    errno = 0;
-    const u64 v = std::strtoull(text, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' || errno != 0) {
-      std::cerr << prog << ": bad value '" << text << "' for " << flag << "\n";
+  auto count = [&](int& i, std::string_view flag) -> u64 {
+    const char* text = need_value(i, flag);
+    try {
+      return parse_u64(text, flag);
+    } catch (const CheckFailure& e) {
+      std::cerr << prog << ": " << e.what() << "\n";
       std::exit(2);
     }
-    return v;
   };
   auto note_unsupported = [&](std::string_view flag, bool is_supported) {
     if (!is_supported) std::cerr << prog << ": note: " << flag << " has no effect here\n";
@@ -132,7 +124,7 @@ inline BenchOptions parse_bench_options(int argc, char** argv, unsigned supporte
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
     if (a == "--threads") {
-      const u64 threads = parse_u64(need_value(i, a), a);
+      const u64 threads = count(i, a);
       if (threads > ThreadPool::kMaxThreads) {
         std::cerr << prog << ": --threads " << threads << " exceeds "
                   << ThreadPool::kMaxThreads << "\n";
@@ -141,10 +133,10 @@ inline BenchOptions parse_bench_options(int argc, char** argv, unsigned supporte
       o.threads = static_cast<std::size_t>(threads);
       note_unsupported(a, (supported & kFlagThreads) != 0);
     } else if (a == "--seeds") {
-      o.seeds = parse_u64(need_value(i, a), a);
+      o.seeds = count(i, a);
       note_unsupported(a, (supported & kFlagSeeds) != 0);
     } else if (a == "--scale") {
-      o.scale = parse_u64(need_value(i, a), a);
+      o.scale = count(i, a);
       if (o.scale > 30) {
         std::cerr << prog << ": --scale " << o.scale << " is a log2, not a line count\n";
         std::exit(2);

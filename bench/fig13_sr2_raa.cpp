@@ -12,7 +12,8 @@
 // Dense-grid protocol (EXPERIMENTS.md): --seeds N averages N key seeds
 // per configuration and --engine epoch runs the whole sweep under the
 // epoch fast-forward tier (bit-identical to windowed — gated by
-// perf_epoch), which is what makes 16-seed grids affordable.
+// perf_engines' grid/table1_sr2_raa case), which is what makes 16-seed
+// grids affordable.
 
 #include <algorithm>
 #include <vector>

@@ -4,18 +4,18 @@
 //
 //   ./attack_demo [lines] [endurance]
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/check.hpp"
 #include "common/table.hpp"
 #include "sim/sweep.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace srbsg;
   using sim::AttackKind;
 
-  const u64 lines = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 4096;
-  const u64 endurance = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 32768;
+  const u64 lines = argc > 1 ? parse_u64(argv[1], "lines") : 4096;
+  const u64 endurance = argc > 2 ? parse_u64(argv[2], "endurance") : 32768;
 
   std::cout << "Scaled bank: " << lines << " lines, endurance " << endurance
             << " (the paper's 1 GB / 1e8 bank behaves identically, just slower)\n\n";
@@ -59,4 +59,7 @@ int main(int argc, char** argv) {
                "faster than RAA/BPA, while Security RBSG's dynamic Feistel mapping\n"
                "reduces RTA to birthday-paradox effectiveness.\n";
   return 0;
+} catch (const srbsg::CheckFailure& e) {
+  std::cerr << "attack_demo: " << e.what() << "\n";
+  return 2;
 }

@@ -4,21 +4,21 @@
 //
 //   ./lifetime_calculator [regions] [inner-interval] [outer-interval] [stages]
 
-#include <cstdlib>
 #include <iostream>
 
 #include "analytic/lifetime_models.hpp"
 #include "analytic/overhead.hpp"
+#include "common/check.hpp"
 #include "common/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace srbsg;
   using namespace srbsg::analytic;
 
-  const u64 regions = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 512;
-  const u64 inner = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 64;
-  const u64 outer = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 128;
-  const u32 stages = argc > 4 ? static_cast<u32>(std::strtoul(argv[4], nullptr, 10)) : 7;
+  const u64 regions = argc > 1 ? parse_u64(argv[1], "regions") : 512;
+  const u64 inner = argc > 2 ? parse_u64(argv[2], "inner-interval") : 64;
+  const u64 outer = argc > 3 ? parse_u64(argv[3], "outer-interval") : 128;
+  const u32 stages = argc > 4 ? checked_narrow<u32>(parse_u64(argv[4], "stages")) : 7u;
 
   const auto cfg = pcm::PcmConfig::paper_bank();
   std::cout << "1 GB PCM bank, 256 B lines, endurance 1e8, SET 1000 ns / RESET 125 ns\n\n";
@@ -62,4 +62,7 @@ int main(int argc, char** argv) {
             << " MB isRemap SRAM, " << overhead.spare_lines << " spare lines, "
             << overhead.cubing_gates << " cubing gates\n";
   return 0;
+} catch (const srbsg::CheckFailure& e) {
+  std::cerr << "lifetime_calculator: " << e.what() << "\n";
+  return 2;
 }

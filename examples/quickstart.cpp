@@ -5,21 +5,22 @@
 //
 // With --audit the scheme runs inside the invariant auditor, which
 // re-verifies translation injectivity, wear conservation and the DFN
-// state machine every 4096 writes (a CheckFailure aborts the run).
+// state machine every 4096 writes; a violation ends the run with its
+// message and exit status 2, as a malformed argument does.
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
 
 #include "audit/auditing_wear_leveler.hpp"
+#include "common/check.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "controller/memory_controller.hpp"
 #include "trace/generators.hpp"
 #include "wl/factory.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace srbsg;
 
   bool audit_enabled = false;
@@ -29,7 +30,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--audit") == 0) {
       audit_enabled = true;
     } else if (npos < 2) {
-      positional[npos++] = std::strtoull(argv[i], nullptr, 10);
+      positional[npos] = parse_u64(argv[i], npos == 0 ? "lines" : "writes");
+      ++npos;
     }
   }
   const u64 lines = positional[0];
@@ -93,4 +95,7 @@ int main(int argc, char** argv) {
             << "x faster than average without wear leveling; Security RBSG keeps\n"
                "max/mean close to 1.\n";
   return 0;
+} catch (const srbsg::CheckFailure& e) {
+  std::cerr << "quickstart: " << e.what() << "\n";
+  return 2;
 }

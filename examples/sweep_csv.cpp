@@ -7,19 +7,19 @@
 // Columns: scheme,attack,regions,inner,outer,stages,seed,succeeded,
 //          lifetime_ns,writes,max_wear,max_over_mean
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/check.hpp"
 #include "common/table.hpp"
 #include "sim/sweep.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace srbsg;
   using sim::AttackKind;
 
-  const u64 lines = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2048;
-  const u64 endurance = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 16384;
-  const u64 seeds = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 2;
+  const u64 lines = argc > 1 ? parse_u64(argv[1], "lines") : 2048;
+  const u64 endurance = argc > 2 ? parse_u64(argv[2], "endurance") : 16384;
+  const u64 seeds = argc > 3 ? parse_u64(argv[3], "seeds") : 2;
 
   std::vector<sim::LifetimeConfig> configs;
   for (auto scheme : {wl::SchemeKind::kRbsg, wl::SchemeKind::kSr2,
@@ -58,4 +58,7 @@ int main(int argc, char** argv) {
               << fmt_double(e.outcome.wear.max_over_mean, 5) << '\n';
   }
   return 0;
+} catch (const srbsg::CheckFailure& e) {
+  std::cerr << "sweep_csv: " << e.what() << "\n";
+  return 2;
 }

@@ -6,21 +6,21 @@
 //     scheme:  none | start-gap | rbsg | sr1 | sr2 | mwsr | security-rbsg
 //     pattern: raa | uniform | zipf | hotspot | sequential
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "common/check.hpp"
 #include "common/stats.hpp"
 #include "controller/memory_controller.hpp"
 #include "trace/generators.hpp"
 #include "wl/factory.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace srbsg;
 
   const std::string scheme_name = argc > 1 ? argv[1] : "security-rbsg";
   const std::string pattern = argc > 2 ? argv[2] : "raa";
-  const u64 writes = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 4'000'000;
+  const u64 writes = argc > 3 ? parse_u64(argv[3], "writes") : 4'000'000;
   const u64 lines = 1u << 14;
 
   wl::SchemeSpec spec;
@@ -81,4 +81,7 @@ int main(int argc, char** argv) {
     std::cout << "cumulative," << i << "," << curve[i] << "\n";
   }
   return 0;
+} catch (const srbsg::CheckFailure& e) {
+  std::cerr << "wear_visualize: " << e.what() << "\n";
+  return 2;
 }

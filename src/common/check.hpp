@@ -20,13 +20,17 @@
 //     layers already establish (e.g. bank bounds behind a validated
 //     translation); a violated assumption in a release build is UB.
 
+#include <charconv>
 #include <source_location>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <type_traits>
 #include <utility>
+
+#include "common/types.hpp"
 
 namespace srbsg {
 
@@ -135,6 +139,21 @@ template <class To, class From>
     detail::throw_check_failure("narrowing conversion lost value", detail::display(+v), loc);
   }
   return static_cast<To>(v);
+}
+
+/// Parses a count written as plain decimal digits. Anything else — an
+/// empty string, blanks, a sign, other characters, a value above 2^64 - 1
+/// — throws CheckFailure naming `what`; strtoull would skip the blanks
+/// and wrap "-1" to 2^64 - 1. Command-line front ends report it and exit 2.
+[[nodiscard]] inline u64 parse_u64(std::string_view text, std::string_view what) {
+  u64 v = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end) {
+    throw CheckFailure("bad value '" + std::string(text) + "' for " + std::string(what) +
+                       " (want unsigned decimal)");
+  }
+  return v;
 }
 
 /// True when SRBSG_DCHECK compiles to a full check() in this build.

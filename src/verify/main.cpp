@@ -5,7 +5,6 @@
 // Exit codes: 0 all selected cells pass (or replay passes), 1 at least
 // one counterexample (or replay reproduces), 2 usage/internal error.
 
-#include <cctype>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -55,22 +54,6 @@ struct Options {
   bool list{false};
   bool selftest{false};
 };
-
-/// Plain decimal digits: std::stoull alone skips leading blanks and
-/// accepts a sign, so "-1" would wrap to 2^64 - 1.
-u64 parse_u64(const std::string& value, const std::string& flag) {
-  std::size_t end = 0;
-  u64 v = 0;
-  try {
-    v = std::stoull(value, &end);
-  } catch (const std::exception&) {
-    end = 0;
-  }
-  check(!value.empty() && std::isdigit(static_cast<unsigned char>(value[0])) &&
-            end == value.size(),
-        "bad value for " + flag + ": " + value);
-  return v;
-}
 
 Options parse_args(int argc, char** argv) {
   Options opt;

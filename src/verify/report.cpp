@@ -61,8 +61,8 @@ void append_bounds(std::ostringstream& os, const Bounds& b) {
 void append_cell(std::ostringstream& os, const CellResult& r) {
   os << "{\"id\":\"" << json_escape(r.cell.id) << "\",\"check\":\"" << json_escape(r.cell.check)
      << "\",\"scheme\":\"" << json_escape(r.cell.scheme) << "\",\"param\":" << r.cell.param
-     << ",\"source\":\"" << json_escape(check_source_file(r.cell.check)) << "\",\"pass\":"
-     << (r.pass ? "true" : "false") << ",\"states\":" << r.states << ",\"wall_ms\":" << r.wall_ms;
+     << ",\"pass\":" << (r.pass ? "true" : "false") << ",\"states\":" << r.states
+     << ",\"wall_ms\":" << r.wall_ms;
   if (r.cex.has_value()) {
     os << ",\"counterexample\":{\"message\":\"" << json_escape(r.cex->message)
        << "\",\"replay\":\"" << json_escape(r.cex->replay)

@@ -11,7 +11,7 @@
 
 namespace srbsg::verify {
 
-inline constexpr int kReportSchemaVersion = 1;
+inline constexpr int kReportSchemaVersion = 2;
 
 /// JSON string escaping (control chars, quotes, backslashes).
 [[nodiscard]] std::string json_escape(std::string_view s);

@@ -46,12 +46,7 @@ std::vector<u64> parse_trace(const std::string& csv) {
   std::vector<u64> out;
   std::istringstream is(csv);
   std::string item;
-  while (std::getline(is, item, ',')) {
-    // Digits only: std::stoull would wrap "-16" to 2^64 - 16.
-    check(!item.empty() && item.find_first_not_of("0123456789") == std::string::npos,
-          "bad list element '" + item + "' (want unsigned decimal)");
-    out.push_back(std::stoull(item));
-  }
+  while (std::getline(is, item, ',')) out.push_back(parse_u64(item, "list element"));
   return out;
 }
 
@@ -109,16 +104,6 @@ std::optional<std::string> replay_counterexample(const std::string& replay,
 }
 
 }  // namespace detail
-
-std::string check_source_file(const std::string& check) {
-  if (check == detail::kFeistelFamily) return "src/mapping/feistel.cpp";
-  if (check == detail::kBatchFamily) return "src/wl/batch.cpp";
-  if (check == detail::kEpochFamily) return "src/wl/epoch.cpp";
-  if (check == detail::kRoundtripFamily || check == detail::kPreserveFamily) {
-    return "src/wl/factory.cpp";
-  }
-  throw CheckFailure("unknown check family: " + check);
-}
 
 std::vector<Cell> list_cells(const Bounds& bounds) {
   check(bounds.min_width >= 2 && bounds.min_width <= bounds.max_width,

@@ -98,10 +98,6 @@ struct CellResult {
   std::optional<Counterexample> cex;
 };
 
-/// Source file each family's proof is about (the report's per-cell
-/// "source" field).
-[[nodiscard]] std::string check_source_file(const std::string& check);
-
 /// The full cell grid at `bounds`, in deterministic order.
 [[nodiscard]] std::vector<Cell> list_cells(const Bounds& bounds);
 

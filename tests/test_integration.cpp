@@ -112,6 +112,20 @@ TEST(Integration, AnalyticModelTracksSimulatedRaaAcrossScales) {
     const double ratio = static_cast<double>(out.result.lifetime.value()) / model;
     EXPECT_NEAR(ratio, 1.0, 0.15) << "lines=" << lines;
   }
+
+  // The epoch tier, which the dense Table-I protocol runs on, at 2^12
+  // lines: its lifetime must land within 10% of the same closed form.
+  auto c = cfg_for(wl::SchemeKind::kRbsg, AttackKind::kRaa, u64{1} << 12, u64{1} << 14);
+  c.scheme.regions = 16;
+  c.scheme.inner_interval = 32;
+  c.scheme.seed = 3;
+  c.seed = 3;
+  c.engine = wl::EngineTier::kEpoch;
+  const auto out = run_lifetime(c);
+  ASSERT_TRUE(out.result.succeeded);
+  const double model = analytic::raa_rbsg_exact_ns(
+      c.pcm, analytic::RbsgShape{c.scheme.regions, c.scheme.inner_interval});
+  EXPECT_NEAR(static_cast<double>(out.result.lifetime.value()) / model, 1.0, 0.10);
 }
 
 }  // namespace

@@ -109,6 +109,63 @@ TEST(Sweep, AverageLifetimeSharedArenaMatches) {
   EXPECT_EQ(with_arena.counted, fresh.counted);
 }
 
+TEST(Sweep, EngineTiersAgreeToFailureUnderAttack) {
+  // The Table-I and Fig. 14 sweeps run to failure on the windowed or the
+  // epoch tier; both must reproduce the per-write reference on whole
+  // attack runs, not only on single writes. SR2 and Security RBSG under
+  // RAA and BPA, with endurance variation so every line has its own
+  // limit.
+  std::vector<LifetimeConfig> configs;
+  for (const wl::SchemeKind kind : {wl::SchemeKind::kSr2, wl::SchemeKind::kSecurityRbsg}) {
+    for (const AttackKind attack : {AttackKind::kRaa, AttackKind::kBpa}) {
+      for (u64 seed = 1; seed <= 2; ++seed) {
+        LifetimeConfig c;
+        c.pcm = pcm::PcmConfig::scaled(512, 2048);
+        c.pcm.endurance_variation = 0.1;
+        c.pcm.variation_seed = 0xbadcafe;
+        c.scheme.kind = kind;
+        c.scheme.lines = 512;
+        c.scheme.regions = 16;
+        c.scheme.inner_interval = 8;
+        c.scheme.outer_interval = 16;
+        c.scheme.seed = seed;
+        c.seed = seed;
+        c.attack = attack;
+        c.write_budget = u64{1} << 32;
+        configs.push_back(c);
+      }
+    }
+  }
+  ThreadPool pool(2);
+  std::vector<std::vector<SweepEntry>> runs;
+  for (const wl::EngineTier tier :
+       {wl::EngineTier::kReference, wl::EngineTier::kWindowed, wl::EngineTier::kEpoch}) {
+    for (auto& c : configs) c.engine = tier;
+    runs.push_back(run_sweep(configs, pool));
+  }
+  for (std::size_t t = 1; t < runs.size(); ++t) {
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const LifetimeOutcome& ref = runs[0][i].outcome;
+      const LifetimeOutcome& got = runs[t][i].outcome;
+      SCOPED_TRACE("tier " + std::to_string(t) + ", entry " + std::to_string(i));
+      EXPECT_TRUE(ref.result.succeeded);
+      EXPECT_EQ(got.result.succeeded, ref.result.succeeded);
+      EXPECT_EQ(got.result.lifetime, ref.result.lifetime);
+      EXPECT_EQ(got.result.writes, ref.result.writes);
+      EXPECT_EQ(got.result.elapsed, ref.result.elapsed);
+      EXPECT_EQ(got.result.attacker, ref.result.attacker);
+      EXPECT_EQ(got.result.scheme, ref.result.scheme);
+      EXPECT_EQ(got.result.detail, ref.result.detail);
+      EXPECT_EQ(got.wear.mean, ref.wear.mean);
+      EXPECT_EQ(got.wear.coefficient_of_variation, ref.wear.coefficient_of_variation);
+      EXPECT_EQ(got.wear.gini, ref.wear.gini);
+      EXPECT_EQ(got.wear.max_over_mean, ref.wear.max_over_mean);
+      EXPECT_EQ(got.wear.max, ref.wear.max);
+      EXPECT_EQ(got.wear.min, ref.wear.min);
+    }
+  }
+}
+
 TEST(Distribution, SecurityRbsgSpreadsRaaWrites) {
   wl::SchemeSpec spec;
   spec.kind = wl::SchemeKind::kSecurityRbsg;
