@@ -64,8 +64,8 @@ struct BenchOptions {
   /// Empty = telemetry off; else the JSONL trace path (--trace-out).
   std::string telemetry;
   /// write_cycle engine tier for simulation runs (--engine
-  /// reference|windowed|epoch).
-  wl::EngineTier engine{wl::EngineTier::kWindowed};
+  /// reference|windowed|epoch; epoch by default).
+  wl::EngineTier engine{wl::EngineTier::kEpoch};
 
   /// Bench-default plumbing: flag value when given, `fallback` otherwise.
   [[nodiscard]] u64 seeds_or(u64 fallback) const { return seeds > 0 ? seeds : fallback; }
@@ -90,7 +90,8 @@ inline void print_bench_usage(std::string_view prog, unsigned supported) {
     std::cout << "  --trace-out PATH  write a JSONL event trace\n";
   }
   if (supported & kFlagEngine) {
-    std::cout << "  --engine T    write_cycle engine tier: reference|windowed|epoch\n";
+    std::cout << "  --engine T    write_cycle engine tier: reference|windowed|epoch"
+                 " (default epoch)\n";
   }
   std::cout << "  --help        this text\n"
             << "env: SRBSG_FULL=1 enlarges the default grids\n";

@@ -10,10 +10,11 @@
 // ratios high.
 //
 // Dense-grid protocol (EXPERIMENTS.md): --seeds N averages N key seeds
-// per configuration and --engine epoch runs the whole sweep under the
-// epoch fast-forward tier (bit-identical to windowed — gated by
-// perf_engines' grid/table1_sr2_raa case), which is what makes 16-seed
-// grids affordable.
+// per configuration. The sweep runs under the epoch fast-forward tier by
+// default (bit-identical to the per-write reference — gated by
+// perf_engines' grid/table1_sr2_raa case and the bench_engine_identity
+// ctest), which is what makes 16-seed grids affordable; --engine picks
+// another tier.
 
 #include <algorithm>
 #include <vector>

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   using namespace srbsg::bench;
 
   const BenchOptions opts =
-      parse_bench_options(argc, argv, kFlagThreads | kFlagSeeds | kFlagScale);
+      parse_bench_options(argc, argv, kFlagThreads | kFlagSeeds | kFlagScale | kFlagEngine);
 
   print_header("Fig. 14: Security RBSG lifetime vs DFN stages",
                "7 stages: 67.2% ideal (RAA), 66.4% (BPA); 3 stages ~20% (RAA)");
@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
     c.scheme.stages = stages;
     c.scheme.seed = 9;
     c.write_budget = u64{1} << 38;
+    c.engine = opts.engine;
     return c;
   };
 

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   using namespace srbsg;
   using namespace srbsg::bench;
 
-  const BenchOptions opts = parse_bench_options(argc, argv, kFlagThreads | kFlagScale);
+  const BenchOptions opts =
+      parse_bench_options(argc, argv, kFlagThreads | kFlagScale | kFlagEngine);
 
   print_header("Fig. 15: Security RBSG under RAA",
                ">108 months at the recommended configuration");
@@ -55,6 +56,7 @@ int main(int argc, char** argv) {
         c.scheme.seed = 9;
         c.attack = sim::AttackKind::kRaa;
         c.write_budget = u64{1} << 40;
+        c.engine = opts.engine;
         configs.push_back(c);
       }
     }

@@ -1,5 +1,8 @@
 #include "mapping/feistel.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "common/bitops.hpp"
 #include "common/check.hpp"
 
@@ -59,6 +62,68 @@ u64 FeistelNetwork::encrypt_even(u64 x) const {
 u64 FeistelNetwork::decrypt_even(u64 x) const {
   for (auto it = keys_.rbegin(); it != keys_.rend(); ++it) x = unround_once(x, *it);
   return x;
+}
+
+void FeistelNetwork::decrypt_even_block(std::span<u32, kBlock> xs) const {
+  // Stage by stage over the whole block: the values are independent and
+  // the trip count is fixed, so each stage is a branch-free loop the
+  // compiler vectorizes. With a half width of at most 16 bits every
+  // product stays exact in 32 bits.
+  const u32 h = half_bits_;
+  const u32 mask = checked_narrow<u32>(half_mask_);
+  for (auto it = keys_.rbegin(); it != keys_.rend(); ++it) {
+    const u32 key = checked_narrow<u32>(*it);
+    for (u32& x : xs) {
+      // unround_once(): right = new_left, left = new_right ^ F(right).
+      const u32 right = x >> h;
+      const u32 t = (right ^ key) & mask;
+      const u32 cube = (((t * t) & mask) * t) & mask;
+      x = (((x & mask) ^ cube) << h) | right;
+    }
+  }
+}
+
+void FeistelNetwork::unmap_all(std::span<u32> inv) const {
+  const u64 n = domain_size();
+  check(even_bits_ <= 32, "FeistelNetwork::unmap_all: network wider than 32 bits");
+  check_eq(u64{inv.size()}, n, "FeistelNetwork::unmap_all: table size != domain size");
+  // Whole blocks, even past the domain's end: the spare lanes compute
+  // values nobody reads.
+  std::array<u32, kBlock> blk{};
+  u32 next = 0;
+  for (std::size_t b = 0; b < inv.size(); b += kBlock) {
+    for (u32& x : blk) x = next++;
+    decrypt_even_block(blk);
+    std::copy_n(blk.begin(), std::min(kBlock, inv.size() - b), inv.subspan(b).begin());
+  }
+  if (even_bits_ == width_bits_) return;
+  // Cycle-walk the values that left the domain, a block of walks at a
+  // time: each step decrypts every pending value at once, stores it, and
+  // keeps the walks still outside the domain. Each walk stops at its
+  // first in-domain value, as unmap()'s does.
+  std::array<u32, kBlock> ys{};
+  std::array<u32, kBlock> xs{};
+  std::size_t pending = 0;
+  const auto step = [&] {
+    decrypt_even_block(xs);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < pending; ++i) {
+      const u32 y = ys[i];
+      const u32 x = xs[i];
+      inv[y] = x;
+      ys[kept] = y;
+      xs[kept] = x;
+      kept += static_cast<std::size_t>(x >= n);
+    }
+    pending = kept;
+  };
+  for (u32 y = 0; y < n; ++y) {
+    ys[pending] = y;
+    xs[pending] = inv[y];
+    pending += static_cast<std::size_t>(inv[y] >= n);
+    while (pending == kBlock) step();
+  }
+  while (pending > 0) step();
 }
 
 u64 FeistelNetwork::map(u64 x) const {

@@ -10,7 +10,13 @@
 // Odd widths are supported by cycle-walking a (B+1)-bit network: the
 // permutation on [0, 2^(B+1)) is iterated until the value falls back into
 // [0, 2^B), which restricts it to a bijection on the smaller domain.
+//
+// unmap_all() tabulates the inverse in one pass: every stage runs over a
+// block of independent values with 32-bit arithmetic, so the work is
+// throughput- rather than latency-bound, and odd widths walk their
+// escaped values in blocks too.
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -34,6 +40,9 @@ class FeistelNetwork final : public AddressMapper {
   [[nodiscard]] u64 map(u64 x) const override;
   [[nodiscard]] u64 unmap(u64 y) const override;
 
+  /// Requires a network of at most 32 bits (table entries are u32).
+  void unmap_all(std::span<u32> inv) const override;
+
   /// Fresh random key schedule for a `stages`-stage network of this width.
   [[nodiscard]] static std::vector<u64> random_keys(u32 width_bits, u32 stages, Rng& rng);
 
@@ -42,6 +51,10 @@ class FeistelNetwork final : public AddressMapper {
   [[nodiscard]] u64 unround_once(u64 x, u64 key) const;
   [[nodiscard]] u64 encrypt_even(u64 x) const;
   [[nodiscard]] u64 decrypt_even(u64 x) const;
+  /// Values unmap_all() decrypts at once.
+  static constexpr std::size_t kBlock = 64;
+  /// decrypt_even() of every value in `xs`, in place (32-bit networks).
+  void decrypt_even_block(std::span<u32, kBlock> xs) const;
 
   u32 width_bits_;
   u32 even_bits_;   ///< width of the internal balanced network

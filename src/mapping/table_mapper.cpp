@@ -1,5 +1,6 @@
 #include "mapping/table_mapper.hpp"
 
+#include <algorithm>
 #include <span>
 
 #include "common/check.hpp"
@@ -26,6 +27,12 @@ u64 TableMapper::map(u64 x) const {
 u64 TableMapper::unmap(u64 y) const {
   check(y < inv_.size(), "TableMapper::unmap: input out of domain");
   return inv_[y];
+}
+
+void TableMapper::unmap_all(std::span<u32> inv) const {
+  check_eq(u64{inv.size()}, u64{inv_.size()},
+           "TableMapper::unmap_all: table size != domain size");
+  std::copy(inv_.begin(), inv_.end(), inv.begin());
 }
 
 }  // namespace srbsg::mapping

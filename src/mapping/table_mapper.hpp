@@ -5,6 +5,7 @@
 // shows how much lifetime the paper's cubing Feistel network leaves on
 // the table (pun intended) due to its T-function diffusion weakness.
 
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -21,6 +22,8 @@ class TableMapper final : public AddressMapper {
   [[nodiscard]] u32 width_bits() const override { return width_bits_; }
   [[nodiscard]] u64 map(u64 x) const override;
   [[nodiscard]] u64 unmap(u64 y) const override;
+  /// Copies the inverse table.
+  void unmap_all(std::span<u32> inv) const override;
 
  private:
   u32 width_bits_;

@@ -32,9 +32,10 @@ struct LifetimeConfig {
   u64 write_budget{u64{1} << 40};
   u64 seed{1};
   /// write_cycle engine tier for the run. All tiers produce bit-identical
-  /// outcomes (ctest -L verify guards this); epoch is the fast path for
-  /// periodic attacks, windowed the general default.
-  wl::EngineTier engine{wl::EngineTier::kWindowed};
+  /// outcomes (ctest -L verify guards this); epoch, the default, is the
+  /// fast path for periodic attacks and runs the windowed loop wherever
+  /// it cannot jump.
+  wl::EngineTier engine{wl::EngineTier::kEpoch};
   /// Optional trace collection: the run borrows a Recorder from the
   /// collector for the attack and absorbs it back (keyed by
   /// `telemetry_entry`) once the run finishes. Not owned; nullptr (the

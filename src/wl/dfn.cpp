@@ -36,8 +36,10 @@ DynamicFeistelOuter::DynamicFeistelOuter(u32 width_bits, u32 stages, Rng rng,
   is_remap_.assign(lines(), true);
   slot_remapped_.assign(lines(), true);
   // The map fills as lines move; until then the rule answers, so boot
-  // evaluates no permutation.
+  // evaluates no permutation. The DEC_Kc table is allocated here, so its
+  // fills in mid-run allocate nothing; only begin_round() fills it.
   ia_of_.assign(lines(), kUnmoved);
+  dec_c_.assign(lines(), 0);
   remapped_ = lines();
 }
 
@@ -51,6 +53,8 @@ u64 DynamicFeistelOuter::rule_ia(u64 la) const {
 void DynamicFeistelOuter::begin_round() {
   enc_p_ = std::move(enc_c_);
   enc_c_ = make_prp(rng_.next());
+  dec_c_filled_ = rounds_completed_ > 0;
+  if (dec_c_filled_) enc_c_->unmap_all(dec_c_);
   is_remap_.assign(lines(), false);
   slot_remapped_.assign(lines(), false);
   remapped_ = 0;
@@ -90,7 +94,7 @@ DynamicFeistelOuter::Movement DynamicFeistelOuter::advance() {
 
   // In-cycle movement (Fig. 9): the LA that belongs at the gap under the
   // current keys moves in; its old slot becomes the new gap.
-  const u64 loc = enc_c_->unmap(gap_);
+  const u64 loc = dec_c(gap_);
   const u64 old_gap = gap_;
   if (spare_holder_ && *spare_holder_ == loc) {
     // Cycle closes: loc's data was parked in the spare at eviction time
@@ -138,6 +142,12 @@ void DynamicFeistelOuter::validate() const {
       continue;
     }
     check_eq(u64{ia}, rule_ia(la), "DFN: live map disagrees with the isRemap rule");
+  }
+  if (dec_c_filled_) {
+    for (u64 slot = 0; slot < n; ++slot) {
+      check_eq(u64{dec_c_[slot]}, enc_c_->unmap(slot),
+               "DFN: DEC_Kc table disagrees with the network");
+    }
   }
   check_le(remapped_, n, "DFN: remapped counter exceeds line count");
   check_le(scan_, n, "DFN: scan pointer out of bounds");

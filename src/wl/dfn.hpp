@@ -10,7 +10,9 @@
 // (ENC_Kc); a per-line isRemap bit selects which one translates each LA.
 // A live LA→IA map caches that rule: each movement updates the one entry
 // it moves, so translation and the walk itself read the map instead of
-// evaluating a permutation per write.
+// evaluating a permutation per write. From the second round on, a table
+// of DEC_Kc, filled once per key draw, likewise answers the walk's
+// per-movement inverse.
 //
 // The permutation family is pluggable: the paper's multi-stage Feistel
 // network with the cubing round function (kCubingFeistel) or an explicit
@@ -83,9 +85,10 @@ class DynamicFeistelOuter {
 
   /// Full consistency audit of the DFN state machine: Gap/scan bounds,
   /// isRemap population vs. the remapped counter, spare-holder/phase
-  /// agreement, every live-map entry vs. the isRemap rule, and (for
-  /// widths small enough to enumerate) bijectivity of both key epochs'
-  /// permutations. Throws CheckFailure on violation.
+  /// agreement, every live-map entry vs. the isRemap rule, a filled
+  /// DEC_Kc table vs. the network, and (for widths small enough to
+  /// enumerate) bijectivity of both key epochs' permutations. Throws
+  /// CheckFailure on violation.
   void validate() const;
 
  private:
@@ -109,6 +112,10 @@ class DynamicFeistelOuter {
   }
   /// Records that `la` now occupies `ia` (at most N <= 2^28: fits u32).
   void place(u64 la, u64 ia) { ia_of_[la] = checked_narrow<u32>(ia); }
+  /// DEC_Kc(slot): the LA the current keys place at `slot`.
+  [[nodiscard]] u64 dec_c(u64 slot) const {
+    return dec_c_filled_ ? dec_c_[slot] : enc_c_->unmap(slot);
+  }
   void begin_round();
   [[nodiscard]] u64 next_unremapped_slot();
 
@@ -127,6 +134,12 @@ class DynamicFeistelOuter {
   /// first movement since boot. Every line moves once per round, so after
   /// the first round the map answers every translation.
   std::vector<u32> ia_of_;
+  /// DEC_Kc as a table. Allocated with the live map, and filled only
+  /// when a round begins after a completed one: that round is the sign
+  /// the run is long enough to amortize an O(N) fill. Round 1 evaluates
+  /// the network directly.
+  std::vector<u32> dec_c_;
+  bool dec_c_filled_{false};
   Phase phase_{Phase::kIdle};
   u64 gap_{0};                       ///< empty IA slot while kInCycle
   u64 cycle_start_{0};               ///< slot evicted into the spare

@@ -451,6 +451,17 @@ BulkOutcome BulkEngine<S>::cycle_epoch(std::span<const La> pattern, const pcm::L
     cycle_windowed(pattern, data, count - out.writes_applied, bank, out);
     epoch::span_fallback_end(tel_, tel_id_, out.total.value(), reason);
   };
+  // Endurance cap over the pattern lines: the writes, from the window's
+  // phase, up to the one whose hit records the bank's first failure.
+  // `until_nth` counts from a jump's phase, so one bound covers every
+  // segment of the jump.
+  const auto fail_cap = [&] {
+    u64 cap = batch::kUnbounded;
+    for (const auto& ls : w.lines) {
+      cap = std::min(cap, ls.hits.until_nth(w.phase, ls.remaining));
+    }
+    return cap;
+  };
   const auto overrun = [&] {  // an interval shrank below a carried counter
     if constexpr (S::kGlobalCounter) {
       if (s.global_counter() >= s.global_interval()) return true;
@@ -487,6 +498,13 @@ BulkOutcome BulkEngine<S>::cycle_epoch(std::span<const La> pattern, const pcm::L
       rebuild = false;
     }
     if (!proven) {
+      // A proof costs an O(physical lines) scan. A call that fails within
+      // that many writes cannot amortize it (the closed form's dispatch
+      // rule), so the exact tail takes it before any scan.
+      if (fail_cap() <= std::min(count, s.physical_lines())) {
+        windowed_tail(telemetry::FallbackReason::kNearFailure);
+        return out;
+      }
       // An exact-replay fold reaches here only on a cold cross-call cache.
       if (!prove(kExact ? telemetry::FallbackReason::kCacheMiss
                         : telemetry::FallbackReason::kNone)) {
@@ -500,13 +518,7 @@ BulkOutcome BulkEngine<S>::cycle_epoch(std::span<const La> pattern, const pcm::L
       return out;
     }
     const EpochPlan plan = s.epoch_plan(w, count - out.writes_applied);
-    // Endurance cap over the pattern lines: the write whose hit records
-    // the bank's first failure. `until_nth` counts from the jump's phase,
-    // so one bound covers every segment.
-    u64 lfail = batch::kUnbounded;
-    for (const auto& ls : w.lines) {
-      lfail = std::min(lfail, ls.hits.until_nth(w.phase, ls.remaining));
-    }
+    const u64 lfail = fail_cap();
     const u64 jump_t0 = out.total.value();
     u64 done = 0;
     u64 steps = 0;

@@ -23,7 +23,7 @@ namespace srbsg::wl {
 
 /// Which bulk-write engine a scheme runs under (DESIGN.md §15). All
 /// tiers are bit-identical in outcome; they differ only in cost. The
-/// windowed tier is the default so existing callers are unaffected.
+/// epoch tier is the default.
 enum class EngineTier : u8 {
   kReference,  ///< per-write loop — the ground-truth semantics
   kWindowed,   ///< windowed engine: O(remap triggers) chunks
@@ -146,7 +146,7 @@ class WearLeveler {
   /// Recorder intern id of name(), valid while `tel_` is non-null.
   u16 tel_id_{0};
   /// Engine tier for the bulk-write entry points.
-  EngineTier tier_{EngineTier::kWindowed};
+  EngineTier tier_{EngineTier::kEpoch};
 };
 
 }  // namespace srbsg::wl

@@ -175,6 +175,70 @@ INSTANTIATE_TEST_SUITE_P(
       return shape_name(param_info.param);
     });
 
+// The walk itself is pinned, not only its consistency: an FNV-1a digest
+// of every advance()'s (from, to) over three rounds, at even and odd
+// widths, equals the value recorded before the DEC_Kc table existed.
+// Round 1 evaluates the network directly; rounds 2 and 3 read the table.
+struct DfnWalk {
+  u32 width;
+  OuterPrpKind kind;
+  u32 stages;
+  u64 digest;
+};
+
+std::string walk_name(const DfnWalk& walk) {
+  return shape_name(DfnShape{walk.width, walk.kind}) + "_s" + std::to_string(walk.stages);
+}
+
+void PrintTo(const DfnWalk& walk, std::ostream* os) { *os << walk_name(walk); }
+
+u64 fnv1a(u64 h, u64 v) {
+  for (u32 byte = 0; byte < 8; ++byte) {
+    h ^= (v >> (8 * byte)) & 0xFF;
+    h *= 0x100000001B3;
+  }
+  return h;
+}
+
+class DfnWalkDigest : public ::testing::TestWithParam<DfnWalk> {};
+
+TEST_P(DfnWalkDigest, ThreeRoundsMatchTheRecordedWalk) {
+  const DfnWalk walk = GetParam();
+  DynamicFeistelOuter d(walk.width, walk.stages, Rng(0xD16E57 + walk.width), walk.kind);
+  u64 h = 0xCBF29CE484222325;
+  u64 movements = 0;
+  while (d.rounds_completed() < 3) {
+    // A round is N + (#cycles) <= 2N movements.
+    ASSERT_LT(movements++, 3 * 2 * d.lines()) << "rounds did not terminate";
+    const auto mv = d.advance();
+    h = fnv1a(fnv1a(h, mv.from), mv.to);
+  }
+  ASSERT_NO_THROW(d.validate());
+  EXPECT_EQ(h, walk.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Walks, DfnWalkDigest,
+    ::testing::Values(DfnWalk{6, OuterPrpKind::kCubingFeistel, 3, 0x60ac4dd8cf0518e5},
+                      DfnWalk{6, OuterPrpKind::kCubingFeistel, 7, 0x8385adcd435260a5},
+                      DfnWalk{6, OuterPrpKind::kCubingFeistel, 20, 0x547d3249fd06b365},
+                      DfnWalk{6, OuterPrpKind::kTablePrp, 1, 0xa25464174e879325},
+                      DfnWalk{10, OuterPrpKind::kCubingFeistel, 3, 0xa831944336df22c9},
+                      DfnWalk{10, OuterPrpKind::kCubingFeistel, 7, 0x4bb05b47a1dbf6fd},
+                      DfnWalk{10, OuterPrpKind::kCubingFeistel, 20, 0xd68d4a13aa51b8c5},
+                      DfnWalk{10, OuterPrpKind::kTablePrp, 1, 0x4e95381fe3f866d5},
+                      DfnWalk{11, OuterPrpKind::kCubingFeistel, 3, 0x477fd9f165d3cd49},
+                      DfnWalk{11, OuterPrpKind::kCubingFeistel, 7, 0xdd889c28c0864fcd},
+                      DfnWalk{11, OuterPrpKind::kCubingFeistel, 20, 0xb254460115df57a5},
+                      DfnWalk{11, OuterPrpKind::kTablePrp, 1, 0x00c8f4268d7e88f9},
+                      DfnWalk{12, OuterPrpKind::kCubingFeistel, 3, 0x45375472ebb7a825},
+                      DfnWalk{12, OuterPrpKind::kCubingFeistel, 7, 0xc71017bc6382b71d},
+                      DfnWalk{12, OuterPrpKind::kCubingFeistel, 20, 0xc999762dddbd1459},
+                      DfnWalk{12, OuterPrpKind::kTablePrp, 1, 0x1b16836f78000731}),
+    [](const ::testing::TestParamInfo<DfnWalk>& param_info) {
+      return walk_name(param_info.param);
+    });
+
 TEST(DfnTablePrp, BijectiveThroughRounds) {
   DynamicFeistelOuter d(6, 1, Rng(60), OuterPrpKind::kTablePrp);
   EXPECT_EQ(d.prp_kind(), OuterPrpKind::kTablePrp);

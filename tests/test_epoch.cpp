@@ -233,6 +233,45 @@ TEST_P(EpochEquivalence, CachedProofAcrossPatternChange) {
   }
 }
 
+TEST_P(EpochEquivalence, NearFailureCallSkipsTheProofScan) {
+  // The hammered line fails within physical_lines() writes, too soon to
+  // amortize the O(lines) proof scan: the call must go to the windowed
+  // tail before any scan (no EpochProjection span) and still stop where
+  // the per-write loop does.
+  const u64 lines = 512;
+  const auto spec = spec_for(GetParam(), lines);
+  const auto cfg = pcm::PcmConfig::scaled(lines, 300);
+  const std::vector<La> pattern = {La{21}};
+  const auto data = pcm::LineData::mixed(0x3C);
+  const u64 count = 10'000'000;  // far past first failure
+  Arm ref(spec, cfg, EngineTier::kReference);
+  Arm epo(spec, cfg, EngineTier::kEpoch);
+  telemetry::TelemetryConfig tcfg;
+  telemetry::Recorder rec(tcfg);
+  epo.scheme->attach_telemetry(&rec);
+  ref.cycle(pattern, data, count);
+  epo.cycle(pattern, data, count);
+  ASSERT_TRUE(ref.bank->has_failure());
+  expect_identical(ref, epo, "epoch-vs-reference");
+  u64 projections = 0;
+  u64 near_failure_tails = 0;
+  const auto& ring = rec.events();
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const auto& e = ring.at(i);
+    if (e.type != telemetry::EventType::kSpanBegin) continue;
+    if (e.a == static_cast<u64>(telemetry::SpanKind::kEpochProjection)) ++projections;
+    if (e.a == static_cast<u64>(telemetry::SpanKind::kExactReplayFallback) &&
+        e.b == static_cast<u64>(telemetry::FallbackReason::kNearFailure)) {
+      ++near_failure_tails;
+    }
+  }
+  EXPECT_EQ(projections, 0u);
+  // Schemes with an epoch fold (all but none and table) reach the
+  // hand-off; the others run the windowed loop from the start.
+  const bool folds = GetParam() != SchemeKind::kNone && GetParam() != SchemeKind::kTable;
+  EXPECT_EQ(near_failure_tails, folds ? 1u : 0u);
+}
+
 TEST_P(EpochEquivalence, EpochTelemetryAttributesJumps) {
   const u64 lines = 512;
   const auto spec = spec_for(GetParam(), lines);

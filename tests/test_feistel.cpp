@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
 #include "mapping/quality.hpp"
 
@@ -83,6 +86,34 @@ TEST(CubingRound, MatchesDirectComputation) {
 
 TEST(CubingRound, WidthMasking) {
   EXPECT_LT(cubing_round(0xFFFF, 0x1234, 11), u64{1} << 11);
+}
+
+TEST(Feistel, BulkInverseEqualsUnmapEverywhere) {
+  // unmap_all() is a batched re-implementation of unmap(): it must agree
+  // at every input, at even widths and at the odd widths that cycle-walk.
+  // The table starts as garbage, so every entry must be written.
+  std::vector<u32> inv;
+  for (u32 width = 2; width <= 16; ++width) {
+    for (const u32 stages : {1u, 3u, 7u, 20u}) {
+      SCOPED_TRACE("width " + std::to_string(width) + ", stages " + std::to_string(stages));
+      Rng rng(300 + 32 * width + stages);
+      const FeistelNetwork net(width, FeistelNetwork::random_keys(width, stages, rng));
+      inv.assign(net.domain_size(), ~u32{0});
+      net.unmap_all(inv);
+      for (u64 y = 0; y < net.domain_size(); ++y) {
+        ASSERT_EQ(u64{inv[y]}, net.unmap(y)) << "at y = " << y;
+      }
+    }
+  }
+}
+
+TEST(Feistel, BulkInverseRejectsAWrongTableSize) {
+  Rng rng(9);
+  const FeistelNetwork net(9, FeistelNetwork::random_keys(9, 3, rng));
+  std::vector<u32> inv(net.domain_size() - 1);
+  EXPECT_THROW(net.unmap_all(inv), CheckFailure);
+  inv.resize(net.domain_size() + 1);
+  EXPECT_THROW(net.unmap_all(inv), CheckFailure);
 }
 
 class FeistelWidthTest : public ::testing::TestWithParam<u32> {};

@@ -110,30 +110,44 @@ TEST(Sweep, AverageLifetimeSharedArenaMatches) {
 }
 
 TEST(Sweep, EngineTiersAgreeToFailureUnderAttack) {
-  // The Table-I and Fig. 14 sweeps run to failure on the windowed or the
-  // epoch tier; both must reproduce the per-write reference on whole
-  // attack runs, not only on single writes. SR2 and Security RBSG under
-  // RAA and BPA, with endurance variation so every line has its own
-  // limit.
+  // The Table-I and Fig. 14 sweeps run to failure on the epoch tier (the
+  // default) or the windowed one; both must reproduce the per-write
+  // reference on whole attack runs, not only on single writes. SR2 and
+  // Security RBSG under RAA and BPA, with endurance variation so every
+  // line has its own limit.
+  const auto config = [](wl::SchemeKind kind, AttackKind attack, u64 seed, u64 lines,
+                         u64 outer_interval) {
+    LifetimeConfig c;
+    c.pcm = pcm::PcmConfig::scaled(lines, 2048);
+    c.pcm.endurance_variation = 0.1;
+    c.pcm.variation_seed = 0xbadcafe;
+    c.scheme.kind = kind;
+    c.scheme.lines = lines;
+    c.scheme.regions = lines / 32;
+    c.scheme.inner_interval = 8;
+    c.scheme.outer_interval = outer_interval;
+    c.scheme.seed = seed;
+    c.seed = seed;
+    c.attack = attack;
+    c.write_budget = u64{1} << 32;
+    return c;
+  };
   std::vector<LifetimeConfig> configs;
   for (const wl::SchemeKind kind : {wl::SchemeKind::kSr2, wl::SchemeKind::kSecurityRbsg}) {
     for (const AttackKind attack : {AttackKind::kRaa, AttackKind::kBpa}) {
       for (u64 seed = 1; seed <= 2; ++seed) {
-        LifetimeConfig c;
-        c.pcm = pcm::PcmConfig::scaled(512, 2048);
-        c.pcm.endurance_variation = 0.1;
-        c.pcm.variation_seed = 0xbadcafe;
-        c.scheme.kind = kind;
-        c.scheme.lines = 512;
-        c.scheme.regions = 16;
-        c.scheme.inner_interval = 8;
-        c.scheme.outer_interval = 16;
-        c.scheme.seed = seed;
-        c.seed = seed;
-        c.attack = attack;
-        c.write_budget = u64{1} << 32;
-        configs.push_back(c);
+        configs.push_back(config(kind, attack, seed, 512, 16));
       }
+    }
+  }
+  // Security RBSG at ψ_out = 2, where the DFN walk is densest, at an odd
+  // (2^9) and an even (2^10) width. Each run lives through at least two
+  // DFN rounds (checked below), so the walk reads the DEC_Kc table that
+  // every round after the first fills.
+  const std::size_t dense_from = configs.size();
+  for (const u64 lines : {512u, 1024u}) {
+    for (const AttackKind attack : {AttackKind::kRaa, AttackKind::kBpa}) {
+      configs.push_back(config(wl::SchemeKind::kSecurityRbsg, attack, 3, lines, 2));
     }
   }
   ThreadPool pool(2);
@@ -163,6 +177,11 @@ TEST(Sweep, EngineTiersAgreeToFailureUnderAttack) {
       EXPECT_EQ(got.wear.max, ref.wear.max);
       EXPECT_EQ(got.wear.min, ref.wear.min);
     }
+  }
+  for (std::size_t i = dense_from; i < configs.size(); ++i) {
+    // A DFN round is N + C <= 2N movements, one per ψ_out writes.
+    const u64 round_writes = 2 * configs[i].scheme.lines * configs[i].scheme.outer_interval;
+    EXPECT_GE(runs[0][i].outcome.result.writes, 2 * round_writes) << "entry " << i;
   }
 }
 

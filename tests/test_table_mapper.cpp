@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
 #include "mapping/quality.hpp"
 
@@ -12,6 +15,20 @@ TEST(TableMapper, IsBijective) {
   Rng rng(3);
   TableMapper m(12, rng);
   EXPECT_TRUE(verify_bijection(m));
+}
+
+TEST(TableMapper, BulkInverseEqualsUnmapEverywhere) {
+  std::vector<u32> inv;
+  for (u32 width = 2; width <= 16; ++width) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    Rng rng(400 + width);
+    const TableMapper m(width, rng);
+    inv.assign(m.domain_size(), ~u32{0});
+    m.unmap_all(inv);
+    for (u64 y = 0; y < m.domain_size(); ++y) {
+      ASSERT_EQ(u64{inv[y]}, m.unmap(y)) << "at y = " << y;
+    }
+  }
 }
 
 TEST(TableMapper, RoundTrips) {

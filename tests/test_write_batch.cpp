@@ -6,7 +6,9 @@
 //
 // in wear counts, movement counts, total simulated time, translation
 // state and failure bookkeeping — including a bank failure in the middle
-// of a batch (the failing write completes, nothing after it runs).
+// of a batch (the failing write completes, nothing after it runs). The
+// engine under test is the windowed tier; test_epoch.cpp drives all
+// three tiers side by side.
 
 #include <gtest/gtest.h>
 
@@ -38,6 +40,13 @@ SchemeSpec spec_for(SchemeKind kind, u64 lines) {
   s.outer_interval = 32;
   s.stages = 3;
   s.seed = 42;
+  return s;
+}
+
+/// The scheme under test, pinned to the windowed tier.
+std::unique_ptr<WearLeveler> make_windowed(const SchemeSpec& spec) {
+  auto s = make_scheme(spec);
+  s->set_engine_tier(EngineTier::kWindowed);
   return s;
 }
 
@@ -98,7 +107,7 @@ TEST_P(BatchEquivalence, CycleSingleAddressHammer) {
   const u64 lines = 512;
   const auto spec = spec_for(GetParam(), lines);
   auto ref = make_scheme(spec);
-  auto fast = make_scheme(spec);
+  auto fast = make_windowed(spec);
   const auto cfg = pcm::PcmConfig::scaled(lines, u64{1} << 40);
   pcm::PcmBank bref(cfg, ref->physical_lines());
   pcm::PcmBank bfast(cfg, fast->physical_lines());
@@ -114,7 +123,7 @@ TEST_P(BatchEquivalence, CycleMultiAddressPattern) {
   const u64 lines = 512;
   const auto spec = spec_for(GetParam(), lines);
   auto ref = make_scheme(spec);
-  auto fast = make_scheme(spec);
+  auto fast = make_windowed(spec);
   const auto cfg = pcm::PcmConfig::scaled(lines, u64{1} << 40);
   pcm::PcmBank bref(cfg, ref->physical_lines());
   pcm::PcmBank bfast(cfg, fast->physical_lines());
@@ -131,7 +140,7 @@ TEST_P(BatchEquivalence, CycleStopsExactlyAtFailure) {
   const u64 lines = 256;
   const auto spec = spec_for(GetParam(), lines);
   auto ref = make_scheme(spec);
-  auto fast = make_scheme(spec);
+  auto fast = make_windowed(spec);
   const auto cfg = pcm::PcmConfig::scaled(lines, 2'000);
   pcm::PcmBank bref(cfg, ref->physical_lines());
   pcm::PcmBank bfast(cfg, fast->physical_lines());
@@ -149,7 +158,7 @@ TEST_P(BatchEquivalence, CycleLongPatternFallback) {
   const u64 lines = 512;
   const auto spec = spec_for(GetParam(), lines);
   auto ref = make_scheme(spec);
-  auto fast = make_scheme(spec);
+  auto fast = make_windowed(spec);
   const auto cfg = pcm::PcmConfig::scaled(lines, u64{1} << 40);
   pcm::PcmBank bref(cfg, ref->physical_lines());
   pcm::PcmBank bfast(cfg, fast->physical_lines());
@@ -184,7 +193,7 @@ TEST_P(BatchEquivalence, BatchMixedStreamWithRuns) {
   const u64 lines = 512;
   const auto spec = spec_for(GetParam(), lines);
   auto ref = make_scheme(spec);
-  auto fast = make_scheme(spec);
+  auto fast = make_windowed(spec);
   const auto cfg = pcm::PcmConfig::scaled(lines, u64{1} << 40);
   pcm::PcmBank bref(cfg, ref->physical_lines());
   pcm::PcmBank bfast(cfg, fast->physical_lines());
@@ -200,7 +209,7 @@ TEST_P(BatchEquivalence, BatchStopsExactlyAtFailure) {
   const u64 lines = 256;
   const auto spec = spec_for(GetParam(), lines);
   auto ref = make_scheme(spec);
-  auto fast = make_scheme(spec);
+  auto fast = make_windowed(spec);
   const auto cfg = pcm::PcmConfig::scaled(lines, 800);
   pcm::PcmBank bref(cfg, ref->physical_lines());
   pcm::PcmBank bfast(cfg, fast->physical_lines());
@@ -227,7 +236,7 @@ TEST_P(BatchEquivalence, RepeatedMatchesLoopAtFailure) {
     for (const u64 la : {0u, 13u, 63u}) {
       SCOPED_TRACE("endurance=" + std::to_string(endurance) + " la=" + std::to_string(la));
       auto ref = make_scheme(spec);
-      auto fast = make_scheme(spec);
+      auto fast = make_windowed(spec);
       const auto cfg = pcm::PcmConfig::scaled(lines, endurance);
       pcm::PcmBank bref(cfg, ref->physical_lines());
       pcm::PcmBank bfast(cfg, fast->physical_lines());
