@@ -5,17 +5,19 @@
 //   ./trace_replay [profile-name|path.trace] [scheme]
 //
 // Profile names: any PARSEC/SPEC workload (e.g. "canneal", "mcf"), or a
-// path to a text trace saved by Trace::save_text.
+// path to a text trace saved by Trace::save_text. A malformed trace line
+// or an unknown scheme ends the run with its message and exit status 2.
 
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 
+#include "common/check.hpp"
 #include "common/table.hpp"
 #include "perf/ipc_experiment.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace srbsg;
 
   const std::string source = argc > 1 ? argv[1] : "canneal";
@@ -62,4 +64,7 @@ int main(int argc, char** argv) {
   t.add_row({"degradation %", fmt_double(cmp.degradation_pct, 3)});
   t.print(std::cout);
   return 0;
+} catch (const srbsg::CheckFailure& e) {
+  std::cerr << "trace_replay: " << e.what() << "\n";
+  return 2;
 }

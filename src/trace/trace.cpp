@@ -1,8 +1,11 @@
 #include "trace/trace.hpp"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <unordered_set>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -21,17 +24,34 @@ char data_char(pcm::DataClass c) {
   return '?';
 }
 
-pcm::DataClass data_from_char(char c) {
-  switch (c) {
-    case '0':
-      return pcm::DataClass::kAllZero;
-    case '1':
-      return pcm::DataClass::kAllOne;
-    case 'M':
-      return pcm::DataClass::kMixed;
-    default:
-      throw CheckFailure("trace: bad data class char");
+/// One text record, "<gap> <R|W> <addr-hex> <0|1|M>". Anything else (a
+/// missing or extra field, a sign, a gap above 2^32 - 1, a non-hex
+/// address) throws a CheckFailure that names the line.
+TraceRecord parse_record(const std::string& line, u64 lineno) {
+  const std::string where = "trace line " + std::to_string(lineno);
+  std::istringstream fields(line);
+  std::string gap, rw, addr, dc, extra;
+  check(static_cast<bool>(fields >> gap >> rw >> addr >> dc) && !(fields >> extra),
+        where + ": want '<gap> <R|W> <addr-hex> <0|1|M>', got '" + line + "'");
+
+  const u64 gap_v = parse_u64(gap, "the gap on " + where);
+  check(std::in_range<u32>(gap_v), where + ": gap " + gap + " does not fit 32 bits");
+  check(rw == "R" || rw == "W", where + ": bad R/W flag '" + rw + "'");
+
+  u64 addr_v = 0;
+  const char* const addr_end = addr.data() + addr.size();
+  const auto [ptr, ec] = std::from_chars(addr.data(), addr_end, addr_v, 16);
+  check(ec == std::errc{} && ptr == addr_end, where + ": bad hex address '" + addr + "'");
+
+  pcm::DataClass data = pcm::DataClass::kMixed;
+  if (dc == "0") {
+    data = pcm::DataClass::kAllZero;
+  } else if (dc == "1") {
+    data = pcm::DataClass::kAllOne;
+  } else {
+    check(dc == "M", where + ": bad data class '" + dc + "'");
   }
+  return TraceRecord{static_cast<u32>(gap_v), rw == "W", addr_v, data};
 }
 
 }  // namespace
@@ -66,14 +86,8 @@ void Trace::save_text(std::ostream& os) const {
 
 Trace Trace::load_text(std::istream& is, std::string name) {
   Trace t(std::move(name));
-  u32 gap = 0;
-  char rw = 0;
-  u64 addr = 0;
-  char dc = 0;
-  while (is >> gap >> rw >> std::hex >> addr >> std::dec >> dc) {
-    check(rw == 'R' || rw == 'W', "trace: bad R/W flag");
-    t.add(TraceRecord{gap, rw == 'W', addr, data_from_char(dc)});
-  }
+  std::string line;
+  for (u64 lineno = 1; std::getline(is, line); ++lineno) t.add(parse_record(line, lineno));
   return t;
 }
 

@@ -48,6 +48,7 @@ class Trace {
   [[nodiscard]] TraceStats stats() const;
 
   /// Text form: one record per line, "<gap> <R|W> <addr-hex> <0|1|M>".
+  /// load_text throws CheckFailure, naming the line, on any other line.
   void save_text(std::ostream& os) const;
   [[nodiscard]] static Trace load_text(std::istream& is, std::string name = "trace");
 

@@ -62,23 +62,33 @@ std::string replay_get(const std::string& replay, const std::string& key, bool r
   return "";
 }
 
+namespace {
+
+/// A numeric replay field, parsed like the command-line counts: plain
+/// decimal digits or a CheckFailure naming the key.
+u64 replay_u64(const std::string& replay, const std::string& key) {
+  return parse_u64(replay_get(replay, key), "replay key " + key);
+}
+
+}  // namespace
+
 std::optional<std::string> replay_counterexample(const std::string& replay,
                                                  const Bounds& bounds) {
   const std::string family = replay_get(replay, "check");
   if (family == kFeistelFamily) {
-    const u32 width = static_cast<u32>(std::stoul(replay_get(replay, "width")));
+    const u32 width = checked_narrow<u32>(replay_u64(replay, "width"));
     const std::vector<u64> keys = parse_trace(replay_get(replay, "keys"));
-    return replay_feistel_point(width, keys, std::stoull(replay_get(replay, "x")));
+    return replay_feistel_point(width, keys, replay_u64(replay, "x"));
   }
 
   wl::SchemeSpec spec;
   spec.kind = wl::parse_scheme(replay_get(replay, "scheme"));
-  spec.lines = std::stoull(replay_get(replay, "lines"));
-  spec.regions = std::stoull(replay_get(replay, "regions"));
-  spec.inner_interval = std::stoull(replay_get(replay, "inner"));
-  spec.outer_interval = std::stoull(replay_get(replay, "outer"));
-  spec.stages = static_cast<u32>(std::stoul(replay_get(replay, "stages")));
-  const u64 seed = std::stoull(replay_get(replay, "seed"));
+  spec.lines = replay_u64(replay, "lines");
+  spec.regions = replay_u64(replay, "regions");
+  spec.inner_interval = replay_u64(replay, "inner");
+  spec.outer_interval = replay_u64(replay, "outer");
+  spec.stages = checked_narrow<u32>(replay_u64(replay, "stages"));
+  const u64 seed = replay_u64(replay, "seed");
   spec.seed = seed * 0x9e3779b9ULL + 1;
 
   MutationSpec mut;
@@ -86,7 +96,7 @@ std::optional<std::string> replay_counterexample(const std::string& replay,
   if (!mut_name.empty()) {
     mut.kind = parse_mutation(mut_name);
     const std::string arm = replay_get(replay, "arm", /*required=*/false);
-    if (!arm.empty()) mut.arm_after = std::stoull(arm);
+    if (!arm.empty()) mut.arm_after = parse_u64(arm, "replay key arm");
   }
   const std::vector<u64> trace = parse_trace(replay_get(replay, "trace"));
 

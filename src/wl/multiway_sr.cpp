@@ -17,8 +17,9 @@ void MultiWaySrConfig::validate() const {
 }
 
 MultiWaySecurityRefresh::MultiWaySecurityRefresh(const MultiWaySrConfig& cfg)
-    : cfg_(cfg), region_bits_(log2_floor(cfg.region_lines())) {
+    : cfg_(cfg) {
   cfg_.validate();
+  region_bits_ = log2_floor(cfg_.region_lines());
   Rng seeder(cfg.seed ^ 0x3157ac0deULL);
   regions_.reserve(cfg_.regions);
   for (u64 q = 0; q < cfg_.regions; ++q) {

@@ -63,7 +63,7 @@ class MultiWaySecurityRefresh final : public BulkEngine<MultiWaySecurityRefresh>
                         const pcm::LineData& uniform, pcm::PcmBank& bank, BulkOutcome& out);
 
   MultiWaySrConfig cfg_;
-  u32 region_bits_;
+  u32 region_bits_{0};  ///< log2 of the sub-region size
   std::vector<SecurityRefreshRegion> regions_;
   std::vector<u64> counter_;
 };

@@ -16,10 +16,9 @@ void TwoLevelSrConfig::validate() const {
 }
 
 TwoLevelSecurityRefresh::TwoLevelSecurityRefresh(const TwoLevelSrConfig& cfg)
-    : cfg_(cfg),
-      region_bits_(log2_floor(cfg.region_lines())),
-      outer_(log2_floor(cfg.lines), Rng(cfg.seed)) {
+    : cfg_(cfg), outer_(log2_floor(cfg.lines), Rng(cfg.seed)) {
   cfg_.validate();
+  region_bits_ = log2_floor(cfg_.region_lines());
   Rng seeder(cfg.seed ^ 0x517ac0deULL);
   inner_.reserve(cfg_.sub_regions);
   for (u64 q = 0; q < cfg_.sub_regions; ++q) {

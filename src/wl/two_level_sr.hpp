@@ -78,7 +78,7 @@ class TwoLevelSecurityRefresh final : public BulkEngine<TwoLevelSecurityRefresh>
   [[nodiscard]] Pa ia_to_pa(u64 ia) const;
 
   TwoLevelSrConfig cfg_;
-  u32 region_bits_;
+  u32 region_bits_{0};  ///< log2 of the sub-region size
   SecurityRefreshRegion outer_;
   std::vector<SecurityRefreshRegion> inner_;
   std::vector<u64> inner_counter_;

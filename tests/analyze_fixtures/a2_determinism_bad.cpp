@@ -1,11 +1,11 @@
 // srbsg-analyze fixture: seeded a2-determinism violations (clean twin:
-// a2_determinism_clean.cpp). Covers both the AST-only classes (pointer
-// hashing, unordered iteration, chrono clocks) and the classes shared
-// with the regex pre-pass (rand/time/random_device) — the latter must be
-// reported exactly once despite two detection layers.
+// a2_determinism_clean.cpp). Covers the AST-only classes (pointer
+// hashing, unordered iteration, chrono clocks) and the calls lint R1 also
+// bans (rand/time/random_device), each reported once. The <ctime>
+// include below is no AST node: lint R1 alone reports it.
 #include <chrono>
 #include <cstdlib>
-#include <ctime>  // EXPECT: a2-determinism
+#include <ctime>
 #include <functional>
 #include <random>
 #include <unordered_map>

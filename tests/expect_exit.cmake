@@ -7,7 +7,9 @@ set(after_dashes FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
 foreach(i RANGE ${last})
   if(after_dashes)
-    list(APPEND cmd "${CMAKE_ARGV${i}}")
+    # Keep an argument holding semicolons whole (see srbsg_expect_exit2).
+    string(REPLACE ";" "\\;" arg "${CMAKE_ARGV${i}}")
+    list(APPEND cmd "${arg}")
   elseif(CMAKE_ARGV${i} STREQUAL "--")
     set(after_dashes TRUE)
   endif()

@@ -68,6 +68,9 @@ TEST(MultiWaySr, ConfigValidation) {
   auto cfg = small_cfg();
   cfg.regions = 5;
   EXPECT_THROW(MultiWaySecurityRefresh{cfg}, CheckFailure);
+  // Zero regions must be rejected before lines / regions is computed.
+  cfg.regions = 0;
+  EXPECT_THROW(MultiWaySecurityRefresh{cfg}, CheckFailure);
 }
 
 }  // namespace

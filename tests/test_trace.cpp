@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <unordered_map>
+
+#include "common/check.hpp"
 
 namespace srbsg::trace {
 namespace {
@@ -66,6 +69,51 @@ TEST(TraceIo, TextRoundTrip) {
     EXPECT_EQ(t[i].instruction_gap, t2[i].instruction_gap);
     EXPECT_EQ(t[i].data, t2[i].data);
   }
+}
+
+/// Loads `text` and returns the CheckFailure message ("" when it loads).
+std::string load_error(const std::string& text) {
+  std::istringstream is(text);
+  try {
+    (void)Trace::load_text(is);
+  } catch (const CheckFailure& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceIo, MalformedMiddleRecordNamesItsLine) {
+  EXPECT_NE(load_error("1 W 10 M\nxx W 11 0\n3 W 12 1\n").find("trace line 2"),
+            std::string::npos);
+}
+
+TEST(TraceIo, TruncatedLastRecordRejected) {
+  EXPECT_NE(load_error("1 W 10 M\n2 W\n").find("trace line 2"), std::string::npos);
+}
+
+TEST(TraceIo, SignedGapRejected) {
+  EXPECT_NE(load_error("-5 W 10 M\n").find("trace line 1"), std::string::npos);
+  EXPECT_NE(load_error("+5 W 10 M\n"), "");
+}
+
+TEST(TraceIo, GapBoundIs32Bits) {
+  std::istringstream is("4294967295 R ff 0\n");
+  const auto t = Trace::load_text(is);
+  ASSERT_EQ(t.size(), 1u);
+  EXPECT_EQ(t[0].instruction_gap, 4294967295u);
+  EXPECT_EQ(t[0].addr, 0xffu);
+  EXPECT_NE(load_error("4294967296 W 10 M\n").find("32 bits"), std::string::npos);
+}
+
+TEST(TraceIo, NonHexAddressRejected) {
+  EXPECT_NE(load_error("1 W zz M\n").find("bad hex address"), std::string::npos);
+  EXPECT_NE(load_error("1 W -10 M\n"), "");
+}
+
+TEST(TraceIo, BadFlagsAndExtraFieldsRejected) {
+  EXPECT_NE(load_error("1 X 10 M\n"), "");
+  EXPECT_NE(load_error("1 W 10 Q\n"), "");
+  EXPECT_NE(load_error("1 W 10 M 7\n"), "");
 }
 
 TEST(TraceStats, MpkiComputed) {

@@ -97,6 +97,9 @@ TEST(Sr2, ConfigValidation) {
   cfg = small_cfg();
   cfg.sub_regions = 3;
   EXPECT_THROW(TwoLevelSecurityRefresh{cfg}, CheckFailure);
+  // Zero sub-regions must be rejected before lines / sub_regions is computed.
+  cfg.sub_regions = 0;
+  EXPECT_THROW(TwoLevelSecurityRefresh{cfg}, CheckFailure);
 }
 
 class Sr2Shapes : public ::testing::TestWithParam<std::tuple<u64, u64, u64>> {};

@@ -9,8 +9,8 @@ interprocedural checks:
 
   a1-width          64-bit address/wear values narrowed below 64 bits
   a2-determinism    randomness / wall clock / pointer hashing /
-                    unordered-container iteration (includes the regex
-                    pre-pass folded in from tools/lint.py R1)
+                    unordered-container iteration (the regex-visible
+                    cases, such as #include <ctime>, are lint R1's)
   a3-race           unsynchronized shared-state writes in pool lambdas
   a4-state          mutable static state inside wear-leveling schemes
   a5-unchecked      WearLeveler entry points with unvalidated parameters
@@ -30,23 +30,20 @@ interprocedural checks:
                     members that outlive the call (direct stores and
                     forwards through callees)
 
-Whole-program summaries round-trip through the incremental cache
-(cache.py): warm runs skip clang for unchanged TUs but still re-solve
-every cross-TU fixed point, so an edit in one TU updates findings
-everywhere.
+Every run parses every selected TU with clang, one worker process per
+core, then solves the cross-TU fixed points over all of them.
 
 Usage:
   python3 tools/analyze                         # src/ + bench/ vs baseline
   python3 tools/analyze --paths src/wl          # restrict to a subtree
-  python3 tools/analyze --cache                 # incremental (build/ cache)
-  python3 tools/analyze --sarif out.sarif       # also emit SARIF 2.1.0
+  python3 tools/analyze --json                  # machine-readable report
   python3 tools/analyze --sources f.cpp -- -I.  # standalone sources
   python3 tools/analyze --ast-json dump.json    # pre-dumped AST (testing)
   python3 tools/analyze --write-baseline        # accept current findings
   python3 tools/analyze --prune-baseline        # drop stale baseline rows
 
-Exit status: 0 clean (or AST layer skipped: no clang), 1 new findings,
-2 usage/internal error.
+Exit status: 0 clean, 1 new findings, 2 usage/internal error (including
+no clang found, unless the input is --ast-json).
 """
 
 from __future__ import annotations
@@ -59,18 +56,14 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import baseline as baseline_mod
-import cache as cache_mod
 import driver
-import prepass
 import report
-import sarif
 from checks import ALL_CHECKS, CHECKS_BY_ID
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 DEFAULT_BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "baseline.json")
-_CACHE_DEFAULT = "<default>"
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -104,21 +97,6 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
                         help="drop baseline entries whose file or context "
                              "no longer exists, printing what was pruned")
     parser.add_argument("--clang", default=None, help="clang driver to use")
-    parser.add_argument("--no-pre-pass", action="store_true",
-                        help="skip the regex R1 pre-pass")
-    parser.add_argument("--cache", nargs="?", const=_CACHE_DEFAULT,
-                        default=None, metavar="PATH",
-                        help="reuse analysis results for unchanged TUs "
-                             "(bare --cache stores the cache at "
-                             "build/srbsg-analyze-cache.json)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore any --cache flag (force cold analysis)")
-    parser.add_argument("--sarif", default=None, metavar="PATH",
-                        help="also write a SARIF 2.1.0 report to PATH")
-    parser.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="parallel clang workers for the per-TU phase "
-                             "(default: one per core); output is "
-                             "byte-identical at any worker count")
     parser.add_argument("--json", action="store_true", dest="json_output")
     parser.add_argument("--repo-root", default=REPO_ROOT,
                         help=argparse.SUPPRESS)
@@ -189,8 +167,6 @@ def main(argv: list[str]) -> int:
     findings: list[dict] = []
     errors: list[str] = []
     tu_summaries: list[tuple] = []
-    skipped_notice = ""
-    tus: list[dict] = []
 
     if args.ast_json:
         # Testing mode: run the checks over pre-dumped ASTs, no clang.
@@ -208,6 +184,10 @@ def main(argv: list[str]) -> int:
                 tu_summaries.append((f"{path}#{index}", summaries))
     else:
         clang = driver.find_clang(args.clang)
+        if clang is None:
+            print("srbsg-analyze: clang not found — install clang (or name "
+                  "one with --clang) to run the analysis", file=sys.stderr)
+            return 2
         if args.sources:
             tus = [{"file": os.path.abspath(s),
                     "rel": os.path.relpath(os.path.abspath(s), repo_root),
@@ -221,28 +201,8 @@ def main(argv: list[str]) -> int:
                 return 2
             tus = driver.select_tus(driver.load_compile_db(db_path),
                                     repo_root, args.paths)
-        if clang is None:
-            skipped_notice = ("srbsg-analyze: clang not found — AST checks "
-                              "skipped (regex pre-pass only); install clang "
-                              "to run the full analysis")
-        else:
-            analysis_cache = None
-            if args.cache and not args.no_cache:
-                cache_path = args.cache if args.cache != _CACHE_DEFAULT else \
-                    os.path.join(repo_root, "build",
-                                 "srbsg-analyze-cache.json")
-                analysis_cache = cache_mod.AnalysisCache(
-                    cache_path, driver.clang_version(clang), check_ids)
-            findings, tu_summaries, errors, stats = \
-                driver.run_tus(clang, tus, repo_root, src_root, check_ids,
-                               args.jobs, analysis_cache)
-            if analysis_cache is not None:
-                if not args.paths and not args.sources:
-                    # Full-tree run: drop entries for deleted/renamed TUs.
-                    analysis_cache.prune([tu["rel"] for tu in tus])
-                analysis_cache.save()
-                print(f"srbsg-analyze: cache: {stats['hits']} TU(s) reused, "
-                      f"{stats['analyzed']} analyzed", file=sys.stderr)
+        findings, tu_summaries, errors = driver.run_tus(
+            clang, tus, repo_root, src_root, check_ids)
 
     # Whole-program phase: merge per-TU summaries, solve the cross-TU
     # fixed points (a5 check closure, a8 taint, a9 writes, a10 escapes).
@@ -251,16 +211,6 @@ def main(argv: list[str]) -> int:
                   if cls.id in summaries]
         if per_tu:
             findings.extend(cls.finalize_program(per_tu))
-
-    if not args.no_pre_pass and "a2-determinism" in check_ids \
-            and not args.ast_json:
-        scan = prepass.prepass_files(
-            repo_root, tus,
-            [os.path.relpath(os.path.abspath(s), repo_root)
-             for s in (args.sources or [])],
-            args.paths)
-        findings = prepass.merge_prepass(
-            findings, prepass.run_prepass(repo_root, scan))
 
     base = {} if (args.no_baseline or args.write_baseline) else \
         baseline_mod.load_baseline(args.baseline)
@@ -275,27 +225,10 @@ def main(argv: list[str]) -> int:
               f"({len(new)} entrie(s))")
         return 0
 
-    if args.sarif:
-        doc = sarif.build(new, baselined, suppressed, check_classes,
-                          repo_root)
-        problems = sarif.validate(doc)
-        if problems:
-            print("srbsg-analyze: internal error: emitted SARIF is invalid:",
-                  file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 2
-        sarif.write(args.sarif, doc)
-        print(f"srbsg-analyze: SARIF report written to {args.sarif}",
-              file=sys.stderr)
-
     if args.json_output:
-        report.print_json(new, baselined, suppressed, errors,
-                          bool(skipped_notice))
-        if skipped_notice:
-            print(skipped_notice, file=sys.stderr)
+        report.print_json(new, baselined, suppressed, errors)
     else:
-        report.print_text(new, baselined, suppressed, errors, skipped_notice)
+        report.print_text(new, baselined, suppressed, errors)
     return 1 if new else 0
 
 

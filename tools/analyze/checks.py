@@ -202,11 +202,6 @@ class TuContext:
             return self.class_ids.get(parent_id, "")
         return ""
 
-    def deps(self) -> list[str]:
-        """Repo-relative paths this TU's findings/summaries were derived
-        from (cache invalidation inputs)."""
-        return sorted({r for r in self._rel_cache.values() if r})
-
     def rel(self, file: Optional[str]) -> Optional[str]:
         """Repo-relative path, or None for files outside the repository."""
         if not file:
@@ -254,9 +249,9 @@ class TuContext:
 class Check:
     """Base class.  One instance is created per TU; per-TU state lives on
     the instance.  Checks that reason across TUs implement summarize()
-    (JSON-able per-TU facts, round-tripped through the incremental
-    cache) and the classmethod finalize_program() (whole-program solve
-    over every TU's summary, see graph.py)."""
+    (JSON-able per-TU facts, returned from the worker processes) and the
+    classmethod finalize_program() (whole-program solve over every TU's
+    summary, see graph.py)."""
 
     id = ""
     description = ""

@@ -5,9 +5,10 @@ compile database.  Only the flags that affect parsing are forwarded
 (-I/-isystem/-D/-U/-std/-include); optimizer and warning flags from the
 gcc command lines are dropped so any installed clang can parse the tree.
 
-When no clang is found the AST layer degrades to a skipped-with-notice
-result (exit 0), mirroring the `tidy` target — the regex pre-pass still
-runs, so lint R1 coverage never regresses on clang-less boxes.
+Every TU goes through one process pool sized by the core count; the
+report cannot depend on worker order because baseline.filter_findings
+sorts every finding.  With no clang the analyzer exits 2 (see
+__main__.py): a check that did not run must not read as a clean tree.
 """
 
 from __future__ import annotations
@@ -105,22 +106,11 @@ def dump_ast(clang: str, file: str, flags: list[str]) -> Optional[dict]:
         return None
 
 
-def clang_version(clang: str) -> str:
-    """First line of `clang --version` (cache invalidation input)."""
-    try:
-        proc = subprocess.run([clang, "--version"], capture_output=True,
-                              text=True, timeout=60)
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    lines = (proc.stdout or proc.stderr or "").strip().splitlines()
-    return lines[0].strip() if lines else "unknown"
-
-
 def analyze_ast(root: dict, repo_root: str, src_root: str,
                 check_classes: list) -> tuple[TuContext, dict]:
     """Runs the check visitors over one parsed AST; returns the TU
-    context (findings, dep tracking) and the per-check summaries
-    ({check id: summary} for checks with whole-program facts)."""
+    context (findings) and the per-check summaries ({check id: summary}
+    for checks with whole-program facts)."""
     ctx = TuContext(repo_root, src_root)
     instances = [cls() for cls in check_classes]
     for check in instances:
@@ -141,57 +131,32 @@ def analyze_ast(root: dict, repo_root: str, src_root: str,
 
 
 def _tu_worker(args: tuple) -> tuple:
-    """(findings, summaries, deps, error) for one TU."""
+    """(findings, summaries, error) for one TU."""
     clang, file, flags, repo_root, src_root, check_ids = args
     from checks import CHECKS_BY_ID  # re-import inside worker processes
     root = dump_ast(clang, file, flags)
     if root is None:
-        return [], {}, [], f"clang failed to parse {file}"
+        return [], {}, f"clang failed to parse {file}"
     ctx, summaries = analyze_ast(root, repo_root, src_root,
                                  [CHECKS_BY_ID[c] for c in check_ids])
-    return ctx.findings, summaries, ctx.deps(), None
+    return ctx.findings, summaries, None
 
 
 def run_tus(clang: str, tus: list[dict], repo_root: str, src_root: str,
-            check_ids: list[str], jobs: int = 0, cache=None) -> tuple:
-    """Analyzes every TU (warm cache entries are reused without invoking
-    clang); returns (findings, tu_summaries, errors, stats) where
-    tu_summaries is [(rel, {check id: summary})] in TU order and stats
-    is {"hits": n, "analyzed": m}."""
-    jobs = jobs or (os.cpu_count() or 1)
-    results_by_rel: dict = {}
-    todo: list[dict] = []
-    hits = 0
-    for tu in tus:
-        entry = cache.lookup(tu) if cache is not None else None
-        if entry is not None:
-            results_by_rel[tu["rel"]] = (entry["findings"],
-                                         entry["summaries"], None)
-            hits += 1
-        else:
-            todo.append(tu)
-
+            check_ids: list[str]) -> tuple:
+    """Analyzes every TU in a process pool; returns (findings,
+    tu_summaries, errors) where tu_summaries is [(rel, {check id:
+    summary})] in TU order."""
     tasks = [(clang, tu["file"], tu["flags"], repo_root, src_root, check_ids)
-             for tu in todo]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            worker_results = list(pool.map(_tu_worker, tasks))
-    else:
-        worker_results = [_tu_worker(t) for t in tasks]
-    for tu, (tu_findings, summaries, deps, error) in zip(todo,
-                                                         worker_results):
-        results_by_rel[tu["rel"]] = (tu_findings, summaries, error)
-        if cache is not None and error is None:
-            cache.store(tu, tu_findings, summaries, deps)
-
+             for tu in tus]
+    with ProcessPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        results = list(pool.map(_tu_worker, tasks))
     findings: list[dict] = []
     tu_summaries: list[tuple] = []
     errors: list[str] = []
-    for tu in tus:
-        tu_findings, summaries, error = results_by_rel[tu["rel"]]
+    for tu, (tu_findings, summaries, error) in zip(tus, results):
         findings.extend(tu_findings)
-        tu_summaries.append((tu["rel"], summaries or {}))
+        tu_summaries.append((tu["rel"], summaries))
         if error:
             errors.append(error)
-    return findings, tu_summaries, errors, {"hits": hits,
-                                            "analyzed": len(todo)}
+    return findings, tu_summaries, errors

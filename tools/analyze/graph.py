@@ -5,9 +5,8 @@ JSON-serializable *summaries* — per-function facts plus the call edges
 between them.  This module owns the whole-program half: it merges the
 summaries of every analyzed TU into one symbol graph and runs the
 fixed-point solvers the interprocedural checks (a5, a8, a9, a10) share.
-Because summaries are plain JSON they also round-trip through the
-incremental cache (cache.py): a warm run re-solves the whole program
-from cached summaries without re-parsing a single TU.
+Summaries are plain JSON so they cross the driver's process pool
+unchanged.
 
 Resolution model
 ----------------

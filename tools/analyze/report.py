@@ -7,7 +7,7 @@ import sys
 
 
 def print_text(new: list[dict], baselined: list[dict], suppressed: list[dict],
-               errors: list[str], skipped_notice: str = "") -> None:
+               errors: list[str]) -> None:
     for finding in new:
         context = f" [in {finding['context']}]" if finding.get("context") else ""
         print(f"{finding['file']}:{finding['line']}: {finding['check']}: "
@@ -16,19 +16,16 @@ def print_text(new: list[dict], baselined: list[dict], suppressed: list[dict],
             print(f"    fix: {finding['suggestion']}")
     for error in errors:
         print(f"srbsg-analyze: warning: {error}", file=sys.stderr)
-    if skipped_notice:
-        print(skipped_notice)
     summary = (f"srbsg-analyze: {len(new)} new finding(s), "
                f"{len(baselined)} baselined, {len(suppressed)} suppressed")
     print(summary, file=sys.stderr if new else sys.stdout)
 
 
 def print_json(new: list[dict], baselined: list[dict], suppressed: list[dict],
-               errors: list[str], skipped: bool) -> None:
+               errors: list[str]) -> None:
     print(json.dumps({
         "new": new,
         "baselined": baselined,
         "suppressed": suppressed,
         "errors": errors,
-        "ast_skipped": skipped,
     }, indent=2))

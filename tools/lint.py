@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Repo-specific lint rules the simulator's correctness story depends on.
 
-Rules (enforced over src/ only; tests and benches are exempt):
+Rules (src/ answers to all four, bench/ to R1 only; tests are exempt):
   R1  no libc/std randomness or wall-clock sources — every stochastic
       component must take an explicit seed (rand/srand, std::random_device,
-      time(...), <ctime>/<cstdlib> randomness are all banned).  R1 is
-      owned by tools/analyze (check a2-determinism) and is OFF by
-      default here; the analyzer reuses these patterns as its regex
-      pre-pass, so each violation is reported exactly once.  Select it
-      explicitly with --rules R1,... to run standalone.
+      time(...) and #include <ctime> are banned).  It covers bench/ too:
+      a benchmark seeded from the clock cannot reproduce its run.
+      tools/analyze's a2-determinism check adds what a regex cannot see
+      (pointer hashing, unordered iteration, chrono clocks in src/).
   R2  no bare assert() — invariants use srbsg::check / SRBSG_CHECK /
       check_eq & friends, which stay armed in release builds and throw a
       diagnosable CheckFailure instead of aborting;
@@ -17,6 +16,9 @@ Rules (enforced over src/ only; tests and benches are exempt):
       brackets are reserved for system/third-party headers, and <bits/...>
       internals are banned;
   R4  no `using namespace std` at any scope.
+
+R3's quoted includes resolve src/-relative, which bench/'s own includes
+do not, so bench/ is held to R1 alone.
 
 Inline `// srbsg-analyze: suppress(<rule|check>, ...)` comments silence a
 finding on the same line or the line below, exactly like the analyzer's
@@ -42,7 +44,7 @@ BANNED_PATTERNS = [
      "rand()/srand() banned: use srbsg::Rng with an explicit seed"),
     ("R1", re.compile(r"\bstd::random_device\b"),
      "std::random_device banned: seeds must be explicit and reproducible"),
-    ("R1", re.compile(r"(?<![\w.:])time\s*\(\s*(?:NULL|nullptr|0|\))"),
+    ("R1", re.compile(r"(?<![\w.:])(?:std::)?time\s*\(\s*(?:NULL|nullptr|0|\))"),
      "time() banned: simulated time only; seeds must be explicit"),
     ("R1", re.compile(r"#\s*include\s*<ctime>"),
      "<ctime> banned: no wall-clock sources in the simulator"),
@@ -70,8 +72,8 @@ _TOKEN_TO_RULE = {"r1": "R1", "r2": "R2", "r3": "R3", "r4": "R4",
                   "a2-determinism": "R1"}
 
 ALL_RULES = frozenset({"R1", "R2", "R3", "R4"})
-# R1 is reported by tools/analyze (a2-determinism pre-pass + AST check).
-DEFAULT_RULES = frozenset({"R2", "R3", "R4"})
+# The rules each linted tree answers to (see the module docstring).
+TREE_RULES = (("src", ALL_RULES), ("bench", frozenset({"R1"})))
 
 
 def strip_comments(text: str) -> list[str]:
@@ -111,7 +113,7 @@ def first_code_line(lines: list[str]) -> str:
     return ""
 
 
-def lint_file(path: Path, rules: frozenset[str] = DEFAULT_RULES) -> list[str]:
+def lint_file(path: Path, rules: frozenset[str] = ALL_RULES) -> list[str]:
     findings = []
     try:
         rel = path.relative_to(REPO_ROOT)
@@ -144,34 +146,31 @@ def lint_file(path: Path, rules: frozenset[str] = DEFAULT_RULES) -> list[str]:
     return findings
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--rules", default=",".join(sorted(DEFAULT_RULES)),
-        help="comma-separated rules to enforce (default: %(default)s; "
-             "R1 lives in tools/analyze as check a2-determinism)")
-    args = parser.parse_args()
-    rules = frozenset(r.strip().upper() for r in args.rules.split(",")
-                      if r.strip())
-    unknown = rules - ALL_RULES
-    if unknown:
-        print(f"lint.py: unknown rule(s): {', '.join(sorted(unknown))}",
-              file=sys.stderr)
-        return 2
+def lint_tree(repo_root: Path = REPO_ROOT) -> tuple[list[str], int]:
+    """Findings over every .hpp/.cpp of each tree in TREE_RULES under
+    `repo_root`, and the number of files linted."""
+    findings: list[str] = []
+    files = 0
+    for tree, rules in TREE_RULES:
+        for path in sorted((repo_root / tree).rglob("*")):
+            if path.suffix in (".hpp", ".cpp"):
+                findings.extend(lint_file(path, rules))
+                files += 1
+    return findings, files
 
-    files = sorted(p for p in SRC_ROOT.rglob("*") if p.suffix in (".hpp", ".cpp"))
+
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+    findings, files = lint_tree()
     if not files:
-        print("lint.py: no sources found under src/", file=sys.stderr)
+        print("lint.py: no sources found under src/ or bench/", file=sys.stderr)
         return 1
-    findings = []
-    for path in files:
-        findings.extend(lint_file(path, rules))
     for finding in findings:
         print(finding)
     if findings:
-        print(f"lint.py: {len(findings)} finding(s) in {len(files)} files", file=sys.stderr)
+        print(f"lint.py: {len(findings)} finding(s) in {files} files", file=sys.stderr)
         return 1
-    print(f"lint.py: clean ({len(files)} files)")
+    print(f"lint.py: clean ({files} files)")
     return 0
 
 

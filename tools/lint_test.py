@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Unit tests for tools/lint.py, run under ctest (label: static).
 
-Covers the inline `srbsg-analyze: suppress(...)` comment support (same
+Covers R1's patterns (what it bans and the chrono clocks it leaves to
+tools/analyze), which rules each tree answers to (src/ R1-R4, bench/
+R1), the inline `srbsg-analyze: suppress(...)` comment support (same
 line, preceding line, the a2-determinism alias for R1, non-matching
-tokens) plus the temp-file path fallback and the baseline rule
-behavior the suppressions sit on.  Exit status 0 pass, 1 fail.
+tokens) and the temp-file path fallback.  Exit status 0 pass, 1 fail.
 """
 
 from __future__ import annotations
@@ -47,7 +48,23 @@ def lint_text(text: str, rules: frozenset[str],
 
 
 def main() -> int:
+    r1 = frozenset({"R1"})
     r2 = frozenset({"R2"})
+
+    check("R1 bans #include <ctime>",
+          lint_text("#include <ctime>\n", r1), ["R1"])
+    check("R1 bans std::rand()",
+          lint_text("int s = std::rand();\n", r1), ["R1"])
+    check("R1 bans time(nullptr)",
+          lint_text("long t = time(nullptr);\n", r1), ["R1"])
+    check("R1 bans std::time(nullptr)",
+          lint_text("long t = std::time(nullptr);\n", r1), ["R1"])
+    check("R1 leaves a member named time alone",
+          lint_text("long t = clock.time(0) + Clock::time();\n", r1), [])
+    check("R1 bans std::random_device",
+          lint_text("std::random_device rd;\n", r1), ["R1"])
+    check("R1 leaves chrono clocks to the analyzer",
+          lint_text("auto t = std::chrono::steady_clock::now();\n", r1), [])
 
     check("unsuppressed assert is reported",
           lint_text("void f() { assert(1); }\n", r2), ["R2"])
@@ -92,11 +109,27 @@ def main() -> int:
     else:
         print("ok: out-of-repo files lint without a path error")
 
-    # The analyzer's pre-pass imports these names; keep them stable.
-    for name in ("BANNED_PATTERNS", "strip_comments"):
-        if not hasattr(lint, name):
-            fail(f"lint.py no longer exports {name} (pre-pass contract)")
-    print("ok: pre-pass import contract (BANNED_PATTERNS, strip_comments)")
+    # src/ answers to every rule, bench/ to R1 only: the same four
+    # violations in each tree of a scratch repository.
+    violations = ("#include <ctime>\n"
+                  "void f() { assert(1); }\n"
+                  "#include \"../escape.hpp\"\n"
+                  "using namespace std;\n")
+    with tempfile.TemporaryDirectory(prefix="lint-tree-") as tmp:
+        for tree in ("src", "bench", "tests"):
+            (Path(tmp) / tree).mkdir()
+            (Path(tmp) / tree / "bad.cpp").write_text(violations,
+                                                      encoding="utf-8")
+        findings, files = lint.lint_tree(Path(tmp))
+    by_tree = {tree: sorted({f.split(": ")[1] for f in findings
+                             if f"/{tree}/bad.cpp:" in f})
+               for tree in ("src", "bench", "tests")}
+    want = {"src": ["R1", "R2", "R3", "R4"], "bench": ["R1"], "tests": []}
+    if files != 2 or by_tree != want:
+        fail(f"tree scopes: expected {want} over 2 files, got {by_tree} "
+             f"over {files}")
+    else:
+        print("ok: src/ answers to R1-R4, bench/ to R1, tests/ to none")
 
     return 1 if _failures else 0
 

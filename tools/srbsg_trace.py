@@ -3,21 +3,23 @@
 
 Reads telemetry_schema 2, the layout the Collector writes: events, wear
 snapshots, counters, span events, stall/write latency histograms and
-decoded span/reason names. Subcommands (a leading ``--`` is
-accepted, so ``srbsg-trace --validate`` and ``srbsg-trace validate``
-are the same):
+decoded span/reason names. Every subcommand first rejects a trace whose
+first record is not a telemetry_schema 2 header, or whose run records
+disagree with its event lines (retained must equal the run's event
+lines, retained + dropped its emitted events), so a truncated or foreign
+trace fails instead of yielding a partial view. Subcommands (a leading
+``--`` is accepted, so ``srbsg-trace --validate`` and ``srbsg-trace
+validate`` are the same):
 
   validate FILE [--expect EV[,EV...]]
-      Structural checks: header first with telemetry_schema 2,
-      known record/event types, per-run seq monotonicity, run
-      bookkeeping (retained/dropped vs emitted event lines), and the
-      attribution invariant — every GapMoved / KeyRerandomized must
-      follow a RemapTriggered from the same run and scheme at the same
-      sim instant. It also pairs SpanBegin/SpanEnd per (run, scheme,
-      span kind) and cross-checks histogram records. A span cut by
-      ring overflow (run.dropped > 0) is reported as truncated, not an
-      error; an unbalanced span in a run that dropped nothing is an
-      error. Events at the ring's truncation boundary
+      Structural checks: known record/event types, per-run seq
+      monotonicity, and the attribution invariant — every GapMoved /
+      KeyRerandomized must follow a RemapTriggered from the same run and
+      scheme at the same sim instant. It also pairs SpanBegin/SpanEnd
+      per (run, scheme, span kind) and cross-checks histogram records.
+      A span cut by ring overflow (run.dropped > 0) is reported as
+      truncated, not an error; an unbalanced span in a run that dropped
+      nothing is an error. Events at the ring's truncation boundary
       (oldest retained timestamp of a run that dropped events) are
       exempt from attribution: their trigger may have been dropped.
       --expect additionally requires at least one event of each listed
@@ -114,6 +116,7 @@ def load(path: str) -> list[dict]:
         raise TraceError(f"cannot read {path}: {exc}") from exc
     if not records:
         raise TraceError("empty trace")
+    check_structure(records)
     return records
 
 
@@ -125,13 +128,24 @@ def runs_of(records: list[dict]) -> dict[int, dict]:
     return {r["entry"]: r for r in records if r["type"] == "run"}
 
 
-def check_schema(records: list[dict]) -> None:
+def check_structure(records: list[dict]) -> None:
+    """The header/schema and run-bookkeeping checks every subcommand
+    relies on (see the module docstring)."""
     header = records[0]
     if header["type"] != "header":
         raise TraceError("first record must be the header")
     schema = header.get("telemetry_schema")
     if schema != SCHEMA_VERSION:
         raise TraceError(f"telemetry_schema must be {SCHEMA_VERSION}, got {schema!r}")
+    lines = Counter(r.get("entry") for r in records if r["type"] == "event")
+    for entry, run in runs_of(records).items():
+        if lines[entry] != run.get("retained"):
+            raise TraceError(
+                f"entry {entry}: {lines[entry]} event lines but "
+                f"run.retained={run.get('retained')}")
+        if run.get("retained", 0) + run.get("dropped", 0) != run.get("events"):
+            raise TraceError(
+                f"entry {entry}: retained+dropped != events in the run record")
 
 
 def bucket_lo(idx: int) -> int:
@@ -229,7 +243,6 @@ def _validate_hists(records: list[dict], runs: dict[int, dict]) -> int:
 
 
 def validate(records: list[dict], expect: list[str]) -> str:
-    check_schema(records)
     header = records[0]
     for rec in records:
         if rec["type"] not in RECORD_TYPES:
@@ -258,12 +271,6 @@ def validate(records: list[dict], expect: list[str]) -> str:
     truncated = 0
     for entry, evs in sorted(by_entry.items()):
         run = runs[entry]
-        if len(evs) != run["retained"]:
-            raise TraceError(
-                f"entry {entry}: {len(evs)} event lines but run.retained={run['retained']}")
-        if run["retained"] + run["dropped"] != run["events"]:
-            raise TraceError(
-                f"entry {entry}: retained+dropped != events in the run record")
         prev_seq = None
         prev_t = None
         # Oldest retained instant: attribution is unprovable there when
@@ -477,7 +484,6 @@ def mutual_information(pairs: list[tuple[int, int]]) -> float:
 
 def channel(records: list[dict], as_json: bool) -> None:
     """Empirical capacity of the stall side channel, per run."""
-    check_schema(records)
     runs = runs_of(records)
     results = []
     for ent in sorted(runs):

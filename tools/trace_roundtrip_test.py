@@ -7,8 +7,9 @@ validate`, which checks the trace structure, the attribution invariant
 (every GapMoved / KeyRerandomized follows a same-instant
 RemapTriggered), span pairing and histogram consistency, and requires
 the event types the bench is guaranteed to produce. The Chrome /
-Prometheus exporters are smoke-tested on the same trace, and a trace
-whose header names another telemetry_schema must be rejected.
+Prometheus exporters are smoke-tested on the same trace. A trace whose
+header names another telemetry_schema must be rejected, and `channel`
+and `export` must reject a copy of the live trace cut short by lines.
 
 Exits 77 (the ctest SKIP code) when the bench binary has not been built
 in this tree.
@@ -17,6 +18,7 @@ in this tree.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import pathlib
 import subprocess
@@ -125,7 +127,27 @@ def main() -> int:
             print("FAIL: a telemetry_schema 1 trace was not rejected", file=sys.stderr)
             return 1
 
-    print("trace round-trip OK (schema 2 live trace + exporters + schema 1 rejected)")
+        # A trace cut short by lines keeps a run record whose retained
+        # count its event lines no longer reach: every subcommand that
+        # reads it must fail, not report on the part that is left.
+        cut = pathlib.Path(tmp) / "cut.jsonl"
+        with trace.open(encoding="utf-8") as src:
+            cut.write_text("".join(itertools.islice(src, 50)), encoding="utf-8")
+        for cmd in (["channel"], ["export", "--chrome", str(pathlib.Path(tmp) / "cut.json")]):
+            short = subprocess.run(
+                [sys.executable, args.trace_tool, cmd[0], str(cut), *cmd[1:]],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                text=True,
+            )
+            sys.stdout.write(short.stdout)
+            if short.returncode != 1 or "run.retained" not in short.stdout:
+                print(f"FAIL: srbsg-trace {cmd[0]} accepted a truncated trace "
+                      f"(exit {short.returncode})", file=sys.stderr)
+                return 1
+
+    print("trace round-trip OK (schema 2 live trace + exporters + schema 1 and "
+          "truncated traces rejected)")
     return 0
 
 
