@@ -5,46 +5,12 @@
 #include "common/check.hpp"
 
 namespace srbsg {
-namespace {
-
-constexpr u64 rotl(u64 x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
 
 Rng::Rng(u64 seed) {
   u64 sm = seed;
   for (auto& word : s_) {
     word = splitmix64(sm);
   }
-}
-
-u64 Rng::next() {
-  const u64 result = rotl(s_[1] * 5, 7) * 9;
-  const u64 t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-u64 Rng::next_below(u64 bound) {
-  check(bound != 0, "next_below: bound must be nonzero");
-  // Lemire's method: multiply-shift with rejection to remove bias.
-  u64 x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<u64>(m);
-  if (lo < bound) {
-    const u64 threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<u64>(m);
-    }
-  }
-  return static_cast<u64>(m >> 64);
 }
 
 u64 Rng::next_in(u64 lo, u64 hi) {
@@ -56,16 +22,9 @@ u64 Rng::next_in(u64 lo, u64 hi) {
   return lo + next_below(span + 1);
 }
 
-double Rng::next_double() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::next_bool(double p) { return next_double() < p; }
-
 Rng Rng::fork() {
   // Mixing two outputs through SplitMix64 gives an independent stream.
-  u64 sm = next() ^ rotl(next(), 32);
+  u64 sm = next() ^ std::rotl(next(), 32);
   return Rng(splitmix64(sm));
 }
 

@@ -101,33 +101,6 @@ u64 PcmBank::line_endurance(Pa pa) const {
   return endurance_lut_ ? endurance_lut_[pa.value()] : uniform_endurance_;
 }
 
-void PcmBank::record_wear(Pa pa, u64 count) {
-  SRBSG_DCHECK(pa.value() < wear_.size(), "PcmBank: physical address out of range");
-  ++mut_seq_;
-  u64& w = wear_[pa.value()];
-  w += count;
-  total_writes_ += count;
-  const u64 limit = endurance_lut_ ? endurance_lut_[pa.value()] : uniform_endurance_;
-  if (!first_failure_ && w >= limit) [[unlikely]] {
-    first_failure_ = pa;
-    // Writes applied after the one that hit the endurance limit.
-    failure_overshoot_ = w - limit;
-  }
-}
-
-Ns PcmBank::write(Pa pa, const LineData& data) {
-  record_wear(pa, 1);
-  data_[pa.value()] = data;
-  return write_latency(cfg_, data.cls);
-}
-
-Ns PcmBank::bulk_write(Pa pa, const LineData& data, u64 count) {
-  if (count == 0) return Ns{0};
-  record_wear(pa, count);
-  data_[pa.value()] = data;
-  return write_latency(cfg_, data.cls) * count;
-}
-
 std::pair<LineData, Ns> PcmBank::read(Pa pa) const {
   SRBSG_DCHECK(pa.value() < data_.size(), "PcmBank: physical address out of range");
   return {data_[pa.value()], read_latency(cfg_)};

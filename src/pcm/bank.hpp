@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "pcm/config.hpp"
 #include "pcm/timing.hpp"
@@ -37,11 +38,20 @@ class PcmBank {
   [[nodiscard]] u64 total_lines() const { return data_.size(); }
 
   /// Write `data` into line `pa`; returns data-dependent latency.
-  Ns write(Pa pa, const LineData& data);
+  Ns write(Pa pa, const LineData& data) {
+    record_wear(pa, 1);
+    data_[pa.value()] = data;
+    return write_latency(cfg_, data.cls);
+  }
 
   /// `count` consecutive writes of the same data to the same line.
   /// Equivalent to calling write() `count` times; O(1).
-  Ns bulk_write(Pa pa, const LineData& data, u64 count);
+  Ns bulk_write(Pa pa, const LineData& data, u64 count) {
+    if (count == 0) return Ns{0};
+    record_wear(pa, count);
+    data_[pa.value()] = data;
+    return write_latency(cfg_, data.cls) * count;
+  }
 
   /// Read the line; returns {data, latency}.
   [[nodiscard]] std::pair<LineData, Ns> read(Pa pa) const;
@@ -133,7 +143,21 @@ class PcmBank {
  private:
   void reconfigure(const PcmConfig& cfg, u64 total_lines);
   void regenerate_endurance(u64 total_lines);
-  void record_wear(Pa pa, u64 count);
+  /// The wear every write path records: `count` writes to `pa`, and the
+  /// first failure with its overshoot when the line reaches its limit.
+  void record_wear(Pa pa, u64 count) {
+    SRBSG_DCHECK(pa.value() < wear_.size(), "PcmBank: physical address out of range");
+    ++mut_seq_;
+    u64& w = wear_[pa.value()];
+    w += count;
+    total_writes_ += count;
+    const u64 limit = endurance_lut_ ? endurance_lut_[pa.value()] : uniform_endurance_;
+    if (!first_failure_ && w >= limit) [[unlikely]] {
+      first_failure_ = pa;
+      // Writes applied after the one that hit the endurance limit.
+      failure_overshoot_ = w - limit;
+    }
+  }
 
   PcmConfig cfg_;
   std::vector<LineData> data_;

@@ -51,7 +51,8 @@ TraceRecord parse_record(const std::string& line, u64 lineno) {
   } else {
     check(dc == "M", where + ": bad data class '" + dc + "'");
   }
-  return TraceRecord{static_cast<u32>(gap_v), rw == "W", addr_v, data};
+  return TraceRecord{.instruction_gap = static_cast<u32>(gap_v), .is_write = rw == "W",
+                     .data = data, .addr = addr_v};
 }
 
 }  // namespace

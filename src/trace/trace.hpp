@@ -12,13 +12,16 @@
 
 namespace srbsg::trace {
 
+/// One access. `data` sits before `addr` so the record packs into 16
+/// bytes: generated traces are long, and replay streams through them.
 struct TraceRecord {
   /// Instructions the core retires before this access is issued.
   u32 instruction_gap{0};
   bool is_write{false};
-  u64 addr{0};  ///< line address
   pcm::DataClass data{pcm::DataClass::kMixed};
+  u64 addr{0};  ///< line address
 };
+static_assert(sizeof(TraceRecord) == 16);
 
 struct TraceStats {
   u64 records{0};

@@ -24,6 +24,7 @@ void RbsgConfig::validate() const {
 RegionStartGap::RegionStartGap(const RbsgConfig& cfg) : cfg_(cfg) {
   cfg_.validate();
   region_bits_ = log2_floor(cfg_.region_lines());
+  region_stride_ = cfg_.region_lines() + 1;
   Rng rng(cfg_.seed);
   const u32 bits = log2_floor(cfg_.lines);
   switch (cfg_.randomizer) {
@@ -42,14 +43,6 @@ RegionStartGap::RegionStartGap(const RbsgConfig& cfg) : cfg_(cfg) {
   if (mapper_) ia_of_.assign(cfg_.lines, kUnmapped);
   sg_.assign(cfg_.regions, StartGapRegion(cfg_.region_lines()));
   counter_.assign(cfg_.regions, 0);
-}
-
-u64 RegionStartGap::randomize(u64 la) const {
-  check(la < cfg_.lines, "RegionStartGap::randomize: address out of range");
-  if (!mapper_) return la;
-  u32& ia = ia_of_[la];
-  if (ia == kUnmapped) ia = checked_narrow<u32>(mapper_->map(la));
-  return ia;
 }
 
 u64 RegionStartGap::derandomize(u64 ia) const { return mapper_ ? mapper_->unmap(ia) : ia; }

@@ -50,7 +50,13 @@ class RegionStartGap final : public BulkEngine<RegionStartGap> {
   [[nodiscard]] const RbsgConfig& config() const { return cfg_; }
   /// Static randomizer (identity when configured with kNone). Each LA's
   /// IA is computed once, on first use, and memoized.
-  [[nodiscard]] u64 randomize(u64 la) const;
+  [[nodiscard]] u64 randomize(u64 la) const {
+    check(la < cfg_.lines, "RegionStartGap::randomize: address out of range");
+    if (!mapper_) return la;
+    u32& ia = ia_of_[la];
+    if (ia == kUnmapped) [[unlikely]] ia = checked_narrow<u32>(mapper_->map(la));
+    return ia;
+  }
   [[nodiscard]] u64 derandomize(u64 ia) const;
   /// Gap register of region `q` (for tests).
   [[nodiscard]] u64 region_gap(u64 q) const { return sg_[q].gap(); }
@@ -93,13 +99,15 @@ class RegionStartGap final : public BulkEngine<RegionStartGap> {
   void for_each_stale_slot(const batch::Window& w, Fn&& fn) const {
     for (const auto& d : w.doms) fn(region_base(d.key) + sg_[d.key].gap());
   }
-  [[nodiscard]] u64 region_base(u64 q) const { return q * (cfg_.region_lines() + 1); }
+  [[nodiscard]] u64 region_base(u64 q) const { return q * region_stride_; }
 
   /// Memo entry of an LA not randomized yet.
   static constexpr u32 kUnmapped = ~u32{0};
 
   RbsgConfig cfg_;
   u32 region_bits_{0};  ///< log2 of the region size
+  /// Physical slots per region: the region size plus its gap slot.
+  u64 region_stride_{0};
   std::unique_ptr<mapping::AddressMapper> mapper_;  ///< null = identity
   /// randomize()'s memo, one entry per LA (empty without a randomizer),
   /// so translate() writes it: an instance serves one thread, as for

@@ -21,15 +21,9 @@ SecurityRbsg::SecurityRbsg(const SecurityRbsgConfig& cfg)
     : cfg_(cfg), outer_(log2_floor(cfg.lines), cfg.stages, Rng(cfg.seed), cfg.prp) {
   cfg_.validate();
   region_bits_ = log2_floor(cfg_.region_lines());
+  region_stride_ = cfg_.region_lines() + 1;
   inner_.assign(cfg_.sub_regions, StartGapRegion(cfg_.region_lines()));
   inner_counter_.assign(cfg_.sub_regions, 0);
-}
-
-Pa SecurityRbsg::ia_to_pa(u64 ia) const {
-  if (ia == outer_.spare_ia()) return spare_pa();
-  const u64 q = ia >> region_bits_;
-  const u64 off = ia & low_mask(region_bits_);
-  return Pa{q * (cfg_.region_lines() + 1) + inner_[q].translate(off)};
 }
 
 Ns SecurityRbsg::fire_domain(u64 q, pcm::PcmBank& bank, u64& moved) {
@@ -38,7 +32,7 @@ Ns SecurityRbsg::fire_domain(u64 q, pcm::PcmBank& bank, u64& moved) {
                telemetry::kLevelInner, 0);
   }
   const auto mv = inner_[q].advance();
-  const u64 base = q * (cfg_.region_lines() + 1);
+  const u64 base = q * region_stride_;
   const Pa from{base + mv.from};
   const Pa to{base + mv.to};
   if (tel_ != nullptr) {

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/check.hpp"
 #include "wl/dfn.hpp"
 #include "wl/engine.hpp"
@@ -99,11 +100,18 @@ class SecurityRbsg final : public BulkEngine<SecurityRbsg> {
   FoldResult epoch_fold(const EpochPlan& p, const batch::Window& w, u64 done, u64 seg,
                         const pcm::LineData& uniform, pcm::PcmBank& bank, BulkOutcome& out);
 
-  [[nodiscard]] Pa ia_to_pa(u64 ia) const;
-  [[nodiscard]] Pa spare_pa() const { return Pa{physical_lines() - 1}; }
+  [[nodiscard]] Pa ia_to_pa(u64 ia) const {
+    if (ia == outer_.spare_ia()) return spare_pa();
+    const u64 q = ia >> region_bits_;
+    return Pa{q * region_stride_ + inner_[q].translate(ia & low_mask(region_bits_))};
+  }
+  /// The final physical line, past every sub-region's slots.
+  [[nodiscard]] Pa spare_pa() const { return Pa{cfg_.sub_regions * region_stride_}; }
 
   SecurityRbsgConfig cfg_;
   u32 region_bits_{0};  ///< log2 of the sub-region size
+  /// Physical slots per sub-region: its size plus its gap slot.
+  u64 region_stride_{0};
   DynamicFeistelOuter outer_;
   std::vector<StartGapRegion> inner_;
   std::vector<u64> inner_counter_;

@@ -15,18 +15,6 @@ SecurityRefreshRegion::SecurityRefreshRegion(u32 width_bits, Rng rng)
   crp_ = lines();
 }
 
-bool SecurityRefreshRegion::refreshed(u64 la) const {
-  // LA c is processed when the CRP passes min(c, pair(c)): the swap at the
-  // smaller of the two remaps both.
-  const u64 p = pair_of(la);
-  return std::min(la, p) < crp_;
-}
-
-u64 SecurityRefreshRegion::translate(u64 la) const {
-  check(la <= mask_, "SecurityRefreshRegion: address out of range");
-  return la ^ (refreshed(la) ? kc_ : kp_);
-}
-
 void SecurityRefreshRegion::maybe_begin_round() {
   if (crp_ == lines()) {
     kp_ = kc_;

@@ -8,6 +8,7 @@
 //
 // Pure bookkeeping in region-local slot space; owners perform the swaps.
 
+#include <algorithm>
 #include <optional>
 
 #include "common/bitops.hpp"
@@ -31,10 +32,18 @@ class SecurityRefreshRegion {
   [[nodiscard]] u64 pair_of(u64 la) const { return la ^ kc_ ^ kp_; }
 
   /// Has `la` been remapped in the current round?
-  [[nodiscard]] bool refreshed(u64 la) const;
+  [[nodiscard]] bool refreshed(u64 la) const {
+    // LA c is processed when the CRP passes min(c, pair(c)): the swap at
+    // the smaller of the two remaps both.
+    const u64 p = pair_of(la);
+    return std::min(la, p) < crp_;
+  }
 
   /// Current slot of `la` within the region.
-  [[nodiscard]] u64 translate(u64 la) const;
+  [[nodiscard]] u64 translate(u64 la) const {
+    check(la <= mask_, "SecurityRefreshRegion: address out of range");
+    return la ^ (refreshed(la) ? kc_ : kp_);
+  }
 
   /// One refresh step (one CRP advance). Returns the pair of slots whose
   /// contents the owner must swap, or nullopt when the candidate was

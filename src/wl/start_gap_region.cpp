@@ -8,16 +8,6 @@ StartGapRegion::StartGapRegion(u64 lines) : lines_(lines), gap_(lines), start_(0
   check(lines >= 1, "StartGapRegion: need at least one line");
 }
 
-u64 StartGapRegion::translate(u64 ia) const {
-  check(ia < lines_, "StartGapRegion: intermediate address out of range");
-  // Qureshi's closed form: rotate by Start modulo the LINE count, then
-  // skip over the gap slot.
-  u64 pa = ia + start_;
-  if (pa >= lines_) pa -= lines_;
-  if (pa >= gap_) ++pa;
-  return pa;
-}
-
 StartGapRegion::Movement StartGapRegion::advance() {
   if (gap_ == 0) {
     // Wrap: the line in the last slot moves into slot 0; one full rotation

@@ -8,6 +8,7 @@
 // This class is pure bookkeeping in "slot space" [0, M]; owners add their
 // region base and perform the actual data copies.
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 
 namespace srbsg::wl {
@@ -23,7 +24,15 @@ class StartGapRegion {
   [[nodiscard]] u64 start() const { return start_; }
 
   /// Slot currently holding intermediate address `ia` (ia in [0, M)).
-  [[nodiscard]] u64 translate(u64 ia) const;
+  [[nodiscard]] u64 translate(u64 ia) const {
+    check(ia < lines_, "StartGapRegion: intermediate address out of range");
+    // Qureshi's closed form: rotate by Start modulo the LINE count, then
+    // skip over the gap slot.
+    u64 pa = ia + start_;
+    if (pa >= lines_) pa -= lines_;
+    if (pa >= gap_) ++pa;
+    return pa;
+  }
 
   /// One gap movement. Returns {from, to}: the owner must copy the data
   /// of slot `from` into slot `to`.

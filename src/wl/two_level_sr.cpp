@@ -27,12 +27,6 @@ TwoLevelSecurityRefresh::TwoLevelSecurityRefresh(const TwoLevelSrConfig& cfg)
   inner_counter_.assign(cfg_.sub_regions, 0);
 }
 
-Pa TwoLevelSecurityRefresh::ia_to_pa(u64 ia) const {
-  const u64 q = ia >> region_bits_;
-  const u64 off = ia & low_mask(region_bits_);
-  return Pa{(q << region_bits_) | inner_[q].translate(off)};
-}
-
 Ns TwoLevelSecurityRefresh::fire_domain(u64 q, pcm::PcmBank& bank, u64& moved) {
   if (tel_ != nullptr) {
     tel_->emit(telemetry::EventType::kRemapTriggered, tel_id_, checked_narrow<u32>(q),

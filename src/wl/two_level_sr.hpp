@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/check.hpp"
 #include "wl/engine.hpp"
 #include "wl/security_refresh_region.hpp"
@@ -75,7 +76,10 @@ class TwoLevelSecurityRefresh final : public BulkEngine<TwoLevelSecurityRefresh>
   FoldResult epoch_fold(const EpochPlan& p, const batch::Window& w, u64 done, u64 jump,
                         const pcm::LineData& uniform, pcm::PcmBank& bank, BulkOutcome& out);
 
-  [[nodiscard]] Pa ia_to_pa(u64 ia) const;
+  [[nodiscard]] Pa ia_to_pa(u64 ia) const {
+    const u64 q = ia >> region_bits_;
+    return Pa{(q << region_bits_) | inner_[q].translate(ia & low_mask(region_bits_))};
+  }
 
   TwoLevelSrConfig cfg_;
   u32 region_bits_{0};  ///< log2 of the sub-region size

@@ -42,8 +42,9 @@ Usage:
   python3 tools/analyze --write-baseline        # accept current findings
   python3 tools/analyze --prune-baseline        # drop stale baseline rows
 
-Exit status: 0 clean, 1 new findings, 2 usage/internal error (including
-no clang found, unless the input is --ast-json).
+Exit status: 0 clean, 1 new findings, 2 usage/internal error, including
+no clang found (unless the input is --ast-json) and a TU clang could not
+parse (the report still lists it).
 """
 
 from __future__ import annotations
@@ -229,6 +230,9 @@ def main(argv: list[str]) -> int:
         report.print_json(new, baselined, suppressed, errors)
     else:
         report.print_text(new, baselined, suppressed, errors)
+    # A TU that was not parsed was not checked: it must not read as clean.
+    if errors:
+        return 2
     return 1 if new else 0
 
 

@@ -14,8 +14,9 @@ Modes (one per ctest test):
   driver    The clang-driving path (run_tus) against a hermetic stub
             clang that replays pre-dumped JSON ASTs: an 8-TU program
             must cost exactly one clang call per TU through the worker
-            pool and yield exactly its 4 seeded findings.  No clang
-            needed.
+            pool and yield exactly its 4 seeded findings, and adding a
+            TU the stub prints no AST for must exit 2 naming it.  No
+            clang needed.
   fixtures  Compile every tests/analyze_fixtures/*.cpp with the real
             clang and assert the analyzer reports exactly the seeded
             `// EXPECT: <check>` lines as new findings and exactly the
@@ -284,7 +285,8 @@ def mode_driver() -> int:
     """Every TU goes through the worker pool exactly once: an 8-TU
     program (odd TUs hold a mutable static, even ones are clean) must
     cost 8 stub-clang calls, one per TU, and report exactly the 4
-    seeded a4-state findings."""
+    seeded a4-state findings. The same program plus one TU clang
+    prints nothing for must exit 2 and name that TU."""
     with tempfile.TemporaryDirectory(prefix="srbsg-driver-") as tmp:
         wl_dir = os.path.join(tmp, "src", "wl")
         os.makedirs(wl_dir)
@@ -305,9 +307,19 @@ def mode_driver() -> int:
         rc, data, stderr = run_analyzer(
             ["--repo-root", tmp, "--clang", stub, "--no-baseline", "--json",
              "--sources", *sources])
-        del os.environ["FAKE_CLANG_LOG"]
         with open(log, encoding="utf-8") as fh:
             calls = sorted(line.strip() for line in fh if line.strip())
+        # An empty dump stands for a TU clang cannot parse: it was not
+        # checked, so the run must fail however the other TUs fare.
+        unparsed = os.path.join(wl_dir, "unparsed.cpp")
+        open(unparsed, "w").close()
+        bad_rc, _, bad_stderr = run_analyzer(
+            ["--repo-root", tmp, "--clang", stub, "--no-baseline",
+             "--sources", *sources, unparsed])
+        del os.environ["FAKE_CLANG_LOG"]
+        if bad_rc != 2 or f"clang failed to parse {unparsed}" not in bad_stderr:
+            fail(f"expected rc 2 and a parse-failure line for {unparsed}; "
+                 f"got rc {bad_rc}: {bad_stderr.strip()}")
         if calls != sorted(sources):
             fail(f"expected one clang call per TU ({len(sources)}), got "
                  f"{len(calls)}: {calls}")
@@ -318,7 +330,7 @@ def mode_driver() -> int:
                  f"got rc {rc}, {sorted(got)}: {stderr.strip()}")
         if not _failures:
             print(f"ok: {len(calls)} TUs through the pool, one clang call "
-                  f"each, {len(got)} finding(s)")
+                  f"each, {len(got)} finding(s); an unparsed TU exits 2")
     return 1 if _failures else 0
 
 
