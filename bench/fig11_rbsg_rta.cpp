@@ -1,7 +1,8 @@
 // Fig. 11 — lifetime of RBSG under RTA vs RAA, over regions {32,64,128}
 // and remapping intervals {16,32,64,100}. Paper headline: with the
 // recommended configuration (32 regions, ψ=100) RTA fails the bank in
-// 478 s, 27435x faster than RAA.
+// 478 s, 27435x faster than RAA. --engine picks the engine tier; every
+// tier prints the same table (the bench_engine_identity ctest).
 
 #include "analytic/lifetime_models.hpp"
 #include "bench_util.hpp"
@@ -10,7 +11,8 @@ int main(int argc, char** argv) {
   using namespace srbsg;
   using namespace srbsg::bench;
 
-  const BenchOptions opts = parse_bench_options(argc, argv, kFlagThreads | kFlagScale);
+  const BenchOptions opts =
+      parse_bench_options(argc, argv, kFlagThreads | kFlagScale | kFlagEngine);
 
   print_header("Fig. 11: RBSG under RTA and RAA",
                "RTA 478 s @ (R=32, psi=100); RAA 27435x slower");
@@ -36,6 +38,7 @@ int main(int argc, char** argv) {
       c.scheme.seed = 5;
       c.attack = sim::AttackKind::kRta;
       c.write_budget = u64{1} << 36;
+      c.engine = opts.engine;
       configs.push_back(c);
       c.attack = sim::AttackKind::kRaa;
       configs.push_back(c);

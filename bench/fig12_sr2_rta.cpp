@@ -2,7 +2,8 @@
 // the Table-I grid (sub-regions {256,512,1024}, inner interval
 // {16,32,64,128}, outer interval {16,32,64,128,256}); each configuration
 // averaged over 5 random keys. Paper headline: 178.8 h at the suggested
-// configuration (512, 64, 128).
+// configuration (512, 64, 128). --engine picks the engine tier; every
+// tier prints the same table (the bench_engine_identity ctest).
 
 #include "analytic/lifetime_models.hpp"
 #include <algorithm>
@@ -15,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace srbsg::bench;
 
   const BenchOptions opts =
-      parse_bench_options(argc, argv, kFlagThreads | kFlagSeeds | kFlagScale);
+      parse_bench_options(argc, argv, kFlagThreads | kFlagSeeds | kFlagScale | kFlagEngine);
 
   print_header("Fig. 12: two-level SR under RTA (avg of keys)",
                "178.8 h @ (512 sub-regions, psi_in=64, psi_out=128)");
@@ -52,6 +53,7 @@ int main(int argc, char** argv) {
         c.scheme.outer_interval = outer;
         c.attack = sim::AttackKind::kRta;
         c.write_budget = u64{1} << 36;
+        c.engine = opts.engine;
         const sim::AverageLifetime avg = sim::average_lifetime(c, seeds, pool, arena);
         std::string cell = avg.counted > 0 ? dur(avg.mean_ns) : std::string("budget");
         if (avg.counted > 0 && !avg.complete()) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "attack/pattern_writer.hpp"
 #include "common/bitops.hpp"
 #include "common/check.hpp"
 #include "telemetry/telemetry.hpp"
@@ -24,23 +25,8 @@ void RtaProbeAttacker::run(ctl::MemoryController& mc, u64 write_budget) {
   u64 issued = 0;
   auto exhausted = [&] { return mc.failed() || issued >= write_budget; };
 
-  // Pattern the space by the probe bit (doubles as the blanket pass). The
-  // data class is constant across each aligned run of 2^probe_bit
-  // addresses, so each run goes through the batched write path.
-  const u64 run_len = u64{1} << p_.probe_bit;
-  std::vector<La> block;
-  block.reserve(run_len);
-  for (u64 la = 0; la < p_.lines && !exhausted();) {
-    const u64 n = std::min({run_len, p_.lines - la, write_budget - issued});
-    block.clear();
-    for (u64 k = 0; k < n; ++k) block.push_back(La{la + k});
-    const auto out = mc.write_batch(
-        block, bit_of(la, static_cast<u32>(p_.probe_bit)) ? LineData::all_one()
-                                                          : LineData::all_zero());
-    issued += out.writes_applied;
-    la += n;
-    if (out.writes_applied < n) break;
-  }
+  // Pattern the space by the probe bit (doubles as the blanket pass).
+  issued += PatternWriter(p_.lines).pass(mc, u64{1} << p_.probe_bit, write_budget, {});
 
   // Harvest the DFN migration-bit stream: hammer LA 0 (pattern-consistent
   // — all of LA 0's bits are zero) and classify movements that fire at an

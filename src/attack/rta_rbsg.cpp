@@ -10,7 +10,7 @@ namespace srbsg::attack {
 using pcm::DataClass;
 using pcm::LineData;
 
-RtaRbsgAttacker::RtaRbsgAttacker(const RtaRbsgParams& p) : p_(p) {
+RtaRbsgAttacker::RtaRbsgAttacker(const RtaRbsgParams& p) : p_(p), writer_(p.lines) {
   check(p.lines > 0 && is_pow2(p.lines), "RtaRbsg: lines must be a power of two");
   check(p.regions > 0 && p.lines % p.regions == 0, "RtaRbsg: regions must divide lines");
   check(p.interval > 0 && p.endurance > 0, "RtaRbsg: bad interval/endurance");
@@ -52,22 +52,7 @@ void RtaRbsgAttacker::run(ctl::MemoryController& mc, u64 write_budget) {
   const Ns stall_one = pcm::move_latency(cfg, DataClass::kAllOne);
 
   // ---- Phase 1: blanket ALL-0 (Step 1) --------------------------------
-  // Ascending sweep with constant data: goes through the batched write
-  // path in blocks (no per-write observation is needed here).
-  {
-    constexpr u64 kBlock = u64{1} << 16;
-    std::vector<La> blanket;
-    blanket.reserve(std::min(n, kBlock));
-    for (u64 la = 0; la < n && !exhausted(mc);) {
-      const u64 cnt = std::min({kBlock, n - la, budget_ - issued_});
-      blanket.clear();
-      for (u64 k = 0; k < cnt; ++k) blanket.push_back(La{la + k});
-      const auto out = mc.write_batch(blanket, LineData::all_zero());
-      issued_ += out.writes_applied;
-      la += cnt;
-      if (out.writes_applied < cnt) break;
-    }
-  }
+  issued_ += writer_.pass(mc, 0, budget_ - issued_, {});
   const u64 blanket_writes = issued_;
 
   // ---- Phase 2: alignment (Steps 2-3) ---------------------------------
@@ -109,30 +94,9 @@ void RtaRbsgAttacker::run(ctl::MemoryController& mc, u64 write_budget) {
   std::vector<u64> la_bits(n_detect + 1, 0);
   std::vector<bool> seen(n_detect + 1, false);
 
-  std::vector<La> pass_block;
   for (u32 j = 0; j < bits && !exhausted(mc); ++j) {
-    // Pattern pass: bit j of the LA chooses ALL-0 / ALL-1. The data is
-    // constant across each aligned run of 2^j addresses, so long runs go
-    // through the batched path; short ones stay per-write.
-    const u64 run = u64{1} << j;
-    if (run >= 8) {
-      pass_block.reserve(run);
-      for (u64 la = 0; la < n && !exhausted(mc);) {
-        const u64 cnt = std::min({run, n - la, budget_ - issued_});
-        pass_block.clear();
-        for (u64 k = 0; k < cnt; ++k) pass_block.push_back(La{la + k});
-        const auto out = mc.write_batch(
-            pass_block, bit_of(la, j) ? LineData::all_one() : LineData::all_zero());
-        issued_ += out.writes_applied;
-        la += cnt;
-        if (out.writes_applied < cnt) break;
-      }
-    } else {
-      for (u64 la = 0; la < n && !exhausted(mc); ++la) {
-        issue(mc, La{la},
-              bit_of(la, j) ? LineData::all_one() : LineData::all_zero());
-      }
-    }
+    // Pattern pass: bit j of the LA chooses ALL-0 / ALL-1.
+    issued_ += writer_.pass(mc, u64{1} << j, budget_ - issued_, {});
     // Exactly M of those writes landed in the target's region; movements
     // fired during the pass are burned (observed but unattributable).
     const u64 total = counter_ + m;

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "attack/attacker.hpp"
+#include "attack/pattern_writer.hpp"
 
 namespace srbsg::attack {
 
@@ -64,6 +65,7 @@ class RtaRbsgAttacker final : public Attacker {
   u64 ring_advance();
 
   RtaRbsgParams p_;
+  PatternWriter writer_;
   u64 budget_{0};
   u64 issued_{0};
 

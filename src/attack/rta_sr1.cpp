@@ -10,7 +10,7 @@ namespace srbsg::attack {
 using pcm::DataClass;
 using pcm::LineData;
 
-RtaSr1Attacker::RtaSr1Attacker(const RtaSr1Params& p) : p_(p) {
+RtaSr1Attacker::RtaSr1Attacker(const RtaSr1Params& p) : p_(p), writer_(p.lines) {
   check(p.lines > 0 && is_pow2(p.lines), "RtaSr1: lines must be a power of two");
   check(p.interval > 0, "RtaSr1: bad interval");
   check(p.target.value() < p.lines, "RtaSr1: target out of range");
@@ -23,24 +23,18 @@ bool RtaSr1Attacker::exhausted(const ctl::MemoryController& mc) const {
 wl::WriteOutcome RtaSr1Attacker::issue(ctl::MemoryController& mc, La la,
                                        const LineData& data) {
   const auto out = mc.write(la, data);
-  ++issued_;
   shadow_[la.value()] = data.cls == DataClass::kAllOne ? 1 : 0;
-  // Mirror the CRP arithmetically: every ψ writes advance one step,
-  // whether or not that step performed a swap.
-  if (++counter_ >= p_.interval) {
-    counter_ = 0;
-    ++crp_;
-  }
+  bulk_account(1);
   return out;
 }
 
-void RtaSr1Attacker::pattern_pass(ctl::MemoryController& mc, u32 j) {
-  for (u64 la = 0; la < p_.lines && !exhausted(mc); ++la) {
-    const u8 want = bit_of(la, j) ? 1 : 0;
-    if (shadow_[la] != want) {
-      issue(mc, La{la}, want ? LineData::all_one() : LineData::all_zero());
-    }
-  }
+void RtaSr1Attacker::bulk_account(u64 writes) {
+  // Mirror the CRP arithmetically: every ψ writes advance one step,
+  // whether or not that step performed a swap.
+  issued_ += writes;
+  const u64 tot = counter_ + writes;
+  crp_ += tot / p_.interval;
+  counter_ = tot % p_.interval;
 }
 
 void RtaSr1Attacker::bulk_to_step(ctl::MemoryController& mc, u64 target) {
@@ -49,11 +43,8 @@ void RtaSr1Attacker::bulk_to_step(ctl::MemoryController& mc, u64 target) {
     const u64 chunk = std::min(writes_needed, budget_ - issued_);
     const La fill[] = {La{0}};
     const auto out = mc.write_cycle(fill, LineData::all_zero(), chunk);
-    issued_ += out.writes_applied;
+    bulk_account(out.writes_applied);
     shadow_[0] = 0;
-    const u64 tot = counter_ + out.writes_applied;
-    crp_ += tot / p_.interval;
-    counter_ = tot % p_.interval;
     if (out.writes_applied < chunk) return;
   }
 }
@@ -91,7 +82,8 @@ bool RtaSr1Attacker::detect_key(ctl::MemoryController& mc, u32 bits, u64* key_ou
   const u64 wrap = round_start + n;
   u64 key = 0;
   for (u32 j = 0; j < bits; ++j) {
-    pattern_pass(mc, j);
+    // Re-pattern by bit j: only the LAs whose content changes (~N/2).
+    bulk_account(writer_.pass(mc, u64{1} << j, budget_ - issued_, shadow_));
     if (crp_ >= wrap) return false;  // keys rotated mid-detection
     // The next swap stall classifies bit j of K. If the whole round has
     // no swap at all, the round's key delta is zero.
@@ -125,26 +117,7 @@ void RtaSr1Attacker::run(ctl::MemoryController& mc, u64 write_budget) {
   const Ns s11 = pcm::swap_latency(cfg, DataClass::kAllOne, DataClass::kAllOne);
 
   // ---- Phase 1: blanket + alignment (Steps 1-2) -----------------------
-  // Batched blanket; the shadow and CRP mirrors advance in closed form
-  // (same arithmetic issue() applies per write).
-  {
-    constexpr u64 kBlock = u64{1} << 16;
-    std::vector<La> blanket;
-    blanket.reserve(std::min(n, kBlock));
-    for (u64 la = 0; la < n && !exhausted(mc);) {
-      const u64 cnt = std::min({kBlock, n - la, budget_ - issued_});
-      blanket.clear();
-      for (u64 k = 0; k < cnt; ++k) blanket.push_back(La{la + k});
-      const auto out = mc.write_batch(blanket, LineData::all_zero());
-      issued_ += out.writes_applied;
-      for (u64 k = 0; k < out.writes_applied; ++k) shadow_[la + k] = 0;
-      const u64 tot = counter_ + out.writes_applied;
-      crp_ += tot / p_.interval;
-      counter_ = tot % p_.interval;
-      la += cnt;
-      if (out.writes_applied < cnt) break;
-    }
-  }
+  bulk_account(writer_.pass(mc, 0, budget_ - issued_, shadow_));
   bool aligned = false;
   const u64 align_cap = 3 * n * p_.interval;
   for (u64 t = 0; t < align_cap && !exhausted(mc); ++t) {
@@ -196,11 +169,8 @@ void RtaSr1Attacker::run(ctl::MemoryController& mc, u64 write_budget) {
       const u64 chunk = std::min(writes_needed, budget_ - issued_);
       const La hammer[] = {La{cur_la}};
       const auto out = mc.write_cycle(hammer, LineData::all_zero(), chunk);
-      issued_ += out.writes_applied;
+      bulk_account(out.writes_applied);
       shadow_[cur_la] = 0;
-      const u64 tot = counter_ + out.writes_applied;
-      crp_ += tot / p_.interval;
-      counter_ = tot % p_.interval;
       if (out.writes_applied < chunk) break;  // failed or budget mid-bulk
       if (key != 0 && crp_ == round_start + std::min(cur_la, cur_la ^ key) + 1) {
         cur_la ^= key;  // the pinned slot is now owned by the pair

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "attack/attacker.hpp"
+#include "attack/pattern_writer.hpp"
 
 namespace srbsg::attack {
 
@@ -48,11 +49,9 @@ class RtaSr1Attacker final : public Attacker {
 
  private:
   wl::WriteOutcome issue(ctl::MemoryController& mc, La la, const pcm::LineData& data);
+  /// Accounts `writes` applied writes in the budget and the CRP mirror.
+  void bulk_account(u64 writes);
   [[nodiscard]] bool exhausted(const ctl::MemoryController& mc) const;
-
-  /// Writes the bit-j pattern to every LA whose current content differs
-  /// (attacker-side shadow keeps this to ~N/2 writes, paper Step 3).
-  void pattern_pass(ctl::MemoryController& mc, u32 j);
 
   /// Detects all bits of K; assumes the CRP is early in a round. Returns
   /// false if the round wrapped mid-detection (caller restarts).
@@ -77,6 +76,7 @@ class RtaSr1Attacker final : public Attacker {
   u64 crp_{0};
 
   std::vector<u8> shadow_;  ///< last data class written per LA (0/1)
+  PatternWriter writer_;
   u64 detected_key_{0};
   u64 rounds_attacked_{0};
   std::string notes_;

@@ -10,7 +10,7 @@ namespace srbsg::attack {
 using pcm::DataClass;
 using pcm::LineData;
 
-RtaSr2Attacker::RtaSr2Attacker(const RtaSr2Params& p) : p_(p) {
+RtaSr2Attacker::RtaSr2Attacker(const RtaSr2Params& p) : p_(p), writer_(p.lines) {
   check(p.lines > 0 && is_pow2(p.lines), "RtaSr2: lines must be a power of two");
   check(is_pow2(p.sub_regions) && p.sub_regions > 1 && p.sub_regions < p.lines,
         "RtaSr2: bad sub_regions");
@@ -28,12 +28,8 @@ u64 RtaSr2Attacker::outer_wrap_step() const {
 wl::WriteOutcome RtaSr2Attacker::issue(ctl::MemoryController& mc, La la,
                                        const LineData& data) {
   const auto out = mc.write(la, data);
-  ++issued_;
   shadow_[la.value()] = data.cls == DataClass::kAllOne ? 1 : 0;
-  if (++counter_ >= p_.outer_interval) {
-    counter_ = 0;
-    ++steps_;
-  }
+  bulk_account(1);
   return out;
 }
 
@@ -42,15 +38,6 @@ void RtaSr2Attacker::bulk_account(u64 writes) {
   const u64 tot = counter_ + writes;
   steps_ += tot / p_.outer_interval;
   counter_ = tot % p_.outer_interval;
-}
-
-void RtaSr2Attacker::pattern_pass(ctl::MemoryController& mc, u32 j) {
-  for (u64 la = 0; la < p_.lines && !exhausted(mc); ++la) {
-    const u8 want = bit_of(la, j) ? 1 : 0;
-    if (shadow_[la] != want) {
-      issue(mc, La{la}, want ? LineData::all_one() : LineData::all_zero());
-    }
-  }
 }
 
 bool RtaSr2Attacker::detect_high_key(ctl::MemoryController& mc, u64* key_high_out) {
@@ -64,7 +51,8 @@ bool RtaSr2Attacker::detect_high_key(ctl::MemoryController& mc, u64* key_high_ou
 
   u64 key_high = 0;
   for (u32 j = region_bits; j < total_bits; ++j) {
-    pattern_pass(mc, j);
+    // Re-pattern by bit j: only the LAs whose content changes.
+    bulk_account(writer_.pass(mc, u64{1} << j, budget_ - issued_, shadow_));
     if (steps_ >= wrap) return false;
     // Sample outer-boundary stalls until 3 clean observations agree by
     // majority. Hammering LA 0 is always pattern-consistent (its bits
@@ -142,23 +130,8 @@ void RtaSr2Attacker::run(ctl::MemoryController& mc, u64 write_budget) {
   const u64 m = n / p_.sub_regions;  // LAs per sub-region
   const u32 region_bits = log2_floor(m);
 
-  // Blanket ALL-0 so every pattern delta and stall value is known. Runs
-  // through the batched path; the mirrors advance in closed form.
-  {
-    constexpr u64 kBlock = u64{1} << 16;
-    std::vector<La> blanket;
-    blanket.reserve(std::min(n, kBlock));
-    for (u64 la = 0; la < n && !exhausted(mc);) {
-      const u64 cnt = std::min({kBlock, n - la, budget_ - issued_});
-      blanket.clear();
-      for (u64 k = 0; k < cnt; ++k) blanket.push_back(La{la + k});
-      const auto out = mc.write_batch(blanket, LineData::all_zero());
-      bulk_account(out.writes_applied);
-      for (u64 k = 0; k < out.writes_applied; ++k) shadow_[la + k] = 0;
-      la += cnt;
-      if (out.writes_applied < cnt) break;
-    }
-  }
+  // Blanket ALL-0 so every pattern delta and stall value is known.
+  bulk_account(writer_.pass(mc, 0, budget_ - issued_, shadow_));
 
   u64 detections = 0;
   u64 failed_detections = 0;
@@ -167,17 +140,12 @@ void RtaSr2Attacker::run(ctl::MemoryController& mc, u64 write_budget) {
     u64 key_high = 0;
     bool ok = false;
     while (!ok && !exhausted(mc)) {
-      const u64 round_before = steps_ / n;
       ok = detect_high_key(mc, &key_high);
       ++detections;
-      if (!ok) {
-        ++failed_detections;
-        // Every failed detection crossed into a new round whose key we
-        // did not read; the prefix is now stale — resync by brute
-        // observation is possible but the paper's attacker simply keeps
-        // going: the prefix update below only applies detected rounds.
-        (void)round_before;
-      }
+      // A failed detection crossed into a round whose key was not read;
+      // the attacker keeps going, and the prefix update below applies
+      // detected rounds only.
+      if (!ok) ++failed_detections;
     }
     if (!ok) break;
     prefix_ ^= key_high;

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "attack/attacker.hpp"
+#include "attack/pattern_writer.hpp"
 
 namespace srbsg::attack {
 
@@ -52,11 +53,11 @@ class RtaSr2Attacker final : public Attacker {
 
  private:
   wl::WriteOutcome issue(ctl::MemoryController& mc, La la, const pcm::LineData& data);
+  /// Accounts `writes` applied writes in the budget and the outer-step
+  /// mirror.
   void bulk_account(u64 writes);
   [[nodiscard]] bool exhausted(const ctl::MemoryController& mc) const;
   [[nodiscard]] u64 outer_wrap_step() const;
-
-  void pattern_pass(ctl::MemoryController& mc, u32 j);
 
   /// Detects the high log2(R) bits of K_out for the current round;
   /// returns false when the round wrapped mid-detection.
@@ -70,7 +71,8 @@ class RtaSr2Attacker final : public Attacker {
   u64 counter_{0};  ///< writes since the last outer step
   u64 steps_{0};    ///< outer steps completed
 
-  std::vector<u8> shadow_;
+  std::vector<u8> shadow_;  ///< last data class written per LA (0/1)
+  PatternWriter writer_;
   u64 prefix_{0};  ///< high-bit prefix of the targeted LA block
   u64 rounds_attacked_{0};
   std::string notes_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "common/check.hpp"
@@ -86,8 +87,17 @@ Trace make_profile_trace(const WorkloadProfile& profile, u64 lines, u64 instruct
     cdf[r] = sum;
   }
   for (auto& v : cdf) v /= sum;
+  // Each rank's line: rank * scatter mod footprint, for an odd multiplier
+  // stepped until it is coprime to the footprint, maps the ranks onto
+  // distinct lines (as make_zipf does); the product is taken in 128 bits
+  // so it does not wrap before the reduction.
   u64 mix_state = seed ^ 0xc0ffee;
-  const u64 scatter = splitmix64(mix_state) | 1;
+  u64 scatter = splitmix64(mix_state) | 1;
+  while (std::gcd(scatter % footprint_lines, footprint_lines) != 1) scatter += 2;
+  std::vector<u64> line_of(ranks);
+  for (u64 r = 0; r < ranks; ++r) {
+    line_of[r] = static_cast<u64>(static_cast<__uint128_t>(r) * scatter % footprint_lines);
+  }
 
   Trace t(profile.suite + "." + profile.name);
   t.reserve(accesses);
@@ -98,7 +108,7 @@ Trace make_profile_trace(const WorkloadProfile& profile, u64 lines, u64 instruct
     TraceRecord rec;
     rec.instruction_gap = mean_gap;
     rec.is_write = rng.next_bool(write_prob);
-    rec.addr = (rank * scatter) % footprint_lines;
+    rec.addr = line_of[rank];
     rec.data = pcm::DataClass::kMixed;
     t.add(rec);
   }

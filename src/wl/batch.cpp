@@ -6,8 +6,9 @@
 
 namespace srbsg::wl::batch {
 
-HitSet::HitSet(std::vector<u64> offsets, u64 period)
-    : offs_(std::move(offsets)), period_(period) {
+void HitSet::assign(std::span<const u64> offsets, u64 period) {
+  offs_.assign(offsets.begin(), offsets.end());
+  period_ = period;
   SRBSG_DCHECK(period_ >= 1, "HitSet: empty period");
   SRBSG_DCHECK(std::is_sorted(offs_.begin(), offs_.end()), "HitSet: offsets not sorted");
   SRBSG_DCHECK(offs_.empty() || offs_.back() < period_, "HitSet: offset past the period");
@@ -51,48 +52,58 @@ u64 HitSet::until_nth(u64 start, u64 n) const {
 namespace {
 
 /// Groups pattern positions [0, period) by `key_of(position)`, skipping
-/// kNoDomain keys, and calls `emit(key, hits)` once per distinct key in
-/// ascending key order.
-template <typename KeyOf, typename Emit>
-void group_positions(u64 period, KeyOf&& key_of, Emit&& emit) {
-  std::vector<std::pair<u64, u64>> keyed;  // (key, position), lexicographic
-  keyed.reserve(period);
+/// kNoDomain keys, into `out`: one schedule per distinct key in ascending
+/// key order, its hit set refilled in place and `set_key(sched, key)`
+/// called on it. `order` is the sort buffer.
+template <typename Sched, typename KeyOf, typename SetKey>
+void group_positions(u64 period, KeyOf&& key_of, std::vector<u64>& order,
+                     std::vector<Sched>& out, SetKey&& set_key) {
+  // Positions in (key, position) order: each key's offsets are then one
+  // increasing, contiguous stretch of `order`. A period-1 pattern has at
+  // most one position and needs no sort.
+  order.clear();
   for (u64 i = 0; i < period; ++i) {
-    if (key_of(i) != kNoDomain) keyed.emplace_back(key_of(i), i);
+    if (key_of(i) != kNoDomain) order.push_back(i);
   }
-  std::sort(keyed.begin(), keyed.end());
-  for (std::size_t i = 0; i < keyed.size();) {
-    std::vector<u64> offs;
-    std::size_t j = i;
-    for (; j < keyed.size() && keyed[j].first == keyed[i].first; ++j) {
-      offs.push_back(keyed[j].second);
-    }
-    emit(keyed[i].first, HitSet(std::move(offs), period));
+  if (order.size() > 1) {
+    std::sort(order.begin(), order.end(), [&](u64 a, u64 b) {
+      const u64 ka = key_of(a);
+      const u64 kb = key_of(b);
+      return ka < kb || (ka == kb && a < b);
+    });
+  }
+  const std::span<const u64> sorted(order);
+  std::size_t g = 0;
+  for (std::size_t i = 0; i < sorted.size(); ++g) {
+    const u64 key = key_of(sorted[i]);
+    std::size_t j = i + 1;
+    while (j < sorted.size() && key_of(sorted[j]) == key) ++j;
+    if (g == out.size()) out.emplace_back();
+    out[g].hits.assign(sorted.subspan(i, j - i), period);
+    set_key(out[g], key);
     i = j;
   }
+  out.resize(g);
 }
 
 }  // namespace
 
-void build_line_scheds(std::span<const Pa> pas, const pcm::PcmBank& bank,
-                       std::vector<LineSched>& out) {
-  out.clear();
-  const auto pa_of = [&](u64 i) { return pas[i].value(); };
-  group_positions(pas.size(), pa_of, [&](u64 pa, HitSet hits) {
+void build_line_scheds(Window& w, const pcm::PcmBank& bank) {
+  const auto pa_of = [&](u64 i) { return w.pas[i].value(); };
+  group_positions(w.pas.size(), pa_of, w.order, w.lines, [&](LineSched& ls, u64 pa) {
     // Writes this line can absorb until it records the first failure; the
     // engine only runs while the bank has none, so wear < limit here.
     const u64 limit = bank.line_endurance(Pa{pa});
     const u64 wear = bank.wear(Pa{pa});
-    out.push_back(LineSched{Pa{pa}, std::move(hits), limit > wear ? limit - wear : 1});
+    ls.pa = Pa{pa};
+    ls.remaining = limit > wear ? limit - wear : 1;
   });
 }
 
-void build_domain_scheds(std::span<const u64> keys, std::vector<DomainSched>& out) {
-  out.clear();
-  const auto key_of = [&](u64 i) { return keys[i]; };
-  group_positions(keys.size(), key_of, [&](u64 key, HitSet hits) {
-    out.push_back(DomainSched{key, std::move(hits)});
-  });
+void build_domain_scheds(Window& w) {
+  const auto key_of = [&](u64 i) { return w.keys[i]; };
+  group_positions(w.keys.size(), key_of, w.order, w.doms,
+                  [](DomainSched& d, u64 key) { d.key = key; });
 }
 
 u64 cap_chunk_at_failure(std::span<const LineSched> lines, u64 start, u64 chunk) {

@@ -40,9 +40,12 @@ inline constexpr u64 kPatternFallbackFactor = 4;
 /// Sorted pattern offsets (subset of [0, period)) hit by one line/domain.
 class HitSet {
  public:
-  HitSet() = default;
-  HitSet(std::vector<u64> offsets, u64 period);
+  /// Refills the set in place, keeping its storage: `offsets` strictly
+  /// increasing, all < `period`.
+  void assign(std::span<const u64> offsets, u64 period);
 
+  [[nodiscard]] std::span<const u64> offsets() const { return offs_; }
+  [[nodiscard]] u64 period() const { return period_; }
   [[nodiscard]] u64 per_period() const { return offs_.size(); }
   [[nodiscard]] bool empty() const { return offs_.empty(); }
 
@@ -74,15 +77,6 @@ struct DomainSched {
   HitSet hits;
 };
 
-/// Group pattern positions by physical line and compute `remaining` from
-/// the bank's current wear. Reuses `out`'s capacity across rebuilds.
-void build_line_scheds(std::span<const Pa> pas, const pcm::PcmBank& bank,
-                       std::vector<LineSched>& out);
-
-/// Group pattern positions by domain key; positions keyed kNoDomain are
-/// excluded. Reuses `out`'s capacity across rebuilds.
-void build_domain_scheds(std::span<const u64> keys, std::vector<DomainSched>& out);
-
 /// Movement-triggered rebuild guard. Recompute the pattern's mapping into
 /// `fresh` (sized to the period) and call this; it adopts `fresh` by swap
 /// and returns true when the cached values differ or `cached` is empty
@@ -107,8 +101,9 @@ template <typename T>
 /// A periodic pattern's current mapping and hit schedules: the state the
 /// engine's windowed and epoch loops share, and the view a scheme's epoch
 /// plan/fold reads. Owned by the engine and reused across calls, so the
-/// buffers keep their capacity; invalidate() on entry forces the first
-/// refresh to rebuild every schedule from the bank's current wear.
+/// buffers keep their capacity and schedule rebuilds allocate nothing
+/// once they have; invalidate() on entry forces the first refresh to
+/// rebuild every schedule from the bank's current wear.
 struct Window {
   u64 phase{0};                   ///< pattern offset of the next write
   std::vector<Pa> pas;            ///< current PA per pattern position
@@ -116,9 +111,11 @@ struct Window {
   std::vector<u64> ias;           ///< outer-level (intermediate) address per position
   std::vector<DomainSched> doms;  ///< per-domain hit schedules
   std::vector<LineSched> lines;   ///< per-distinct-PA hit schedules
-  // Scratch for refreshes and the epoch loop's scan-exclusion sets.
+  // Working buffers for refreshes, schedule grouping and the epoch
+  // loop's scan-exclusion sets.
   std::vector<Pa> pas_fresh;
   std::vector<u64> keys_fresh;
+  std::vector<u64> order;
   std::vector<u64> slots;
   std::vector<u64> prev_slots;
 
@@ -129,5 +126,15 @@ struct Window {
     slots.clear();
   }
 };
+
+/// Groups the positions of `w.pas` by physical line into `w.lines`, in
+/// ascending PA order, with `remaining` from the bank's current wear.
+/// Reuses the existing schedules' storage.
+void build_line_scheds(Window& w, const pcm::PcmBank& bank);
+
+/// Groups the positions of `w.keys` by domain into `w.doms`, in ascending
+/// key order; positions keyed kNoDomain are excluded. Reuses the existing
+/// schedules' storage.
+void build_domain_scheds(Window& w);
 
 }  // namespace srbsg::wl::batch

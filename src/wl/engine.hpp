@@ -158,8 +158,10 @@ class BulkEngine : public WearLeveler {
   }
 
   /// The per-write reference semantics, without the range check: the
-  /// data write, then the write's due triggers.
-  WriteOutcome write_one(u64 la, const pcm::LineData& data, pcm::PcmBank& bank) {
+  /// data write, then the write's due triggers. Always inlined, so
+  /// write_batch()'s loop pays no call per write.
+  [[gnu::always_inline]] WriteOutcome write_one(u64 la, const pcm::LineData& data,
+                                                pcm::PcmBank& bank) {
     S& s = self();
     const Loc loc = s.locate(la);
     WriteOutcome out;
@@ -213,31 +215,34 @@ BulkOutcome BulkEngine<S>::write_batch(std::span<const La> las, const pcm::LineD
                                        pcm::PcmBank& bank) {
   for (const La la : las) check_address(la);
   if (tier_ == EngineTier::kReference) return WearLeveler::write_batch(las, data, bank);
-  // Walk maximal runs of identical addresses: long runs (hammer phases
-  // embedded in mixed streams) take the write_cycle() fast path, short
-  // ones the inlined per-write body. Stops after the write that records
-  // a failure, exactly like the per-write reference loop.
+  // One inlined per-write body per address. Only where the next address
+  // repeats is the run measured: a run of kRunThreshold or more (a hammer
+  // phase embedded in a mixed stream) takes the write_cycle() fast path.
+  // Stops after the write that records a failure, exactly like the
+  // per-write reference loop. `d` is a local, so the bank's stores cannot
+  // make the loop re-read the data through its reference.
+  const pcm::LineData d = data;
   BulkOutcome out;
   const u64 n = las.size();
-  u64 i = 0;
-  while (i < n && !bank.has_failure()) {
-    u64 run = 1;
-    while (i + run < n && las[i + run].value() == las[i].value()) ++run;
-    if (run >= batch::kRunThreshold) {
-      const BulkOutcome b = write_cycle(las.subspan(i, 1), data, run, bank);
-      out.total += b.total;
-      out.writes_applied += b.writes_applied;
-      out.movements += b.movements;
-      if (b.writes_applied < run) break;
-    } else {
-      for (u64 k = 0; k < run && !bank.has_failure(); ++k) {
-        const WriteOutcome w = write_one(las[i + k].value(), data, bank);
-        out.total += w.total;
-        out.movements += w.movements;
-        ++out.writes_applied;
+  for (u64 i = 0; i < n && !bank.has_failure();) {
+    const u64 la = las[i].value();
+    if (i + 1 < n && las[i + 1].value() == la) {
+      u64 run = 2;
+      while (i + run < n && las[i + run].value() == la) ++run;
+      if (run >= batch::kRunThreshold) {
+        const BulkOutcome b = write_cycle(las.subspan(i, 1), d, run, bank);
+        out.total += b.total;
+        out.writes_applied += b.writes_applied;
+        out.movements += b.movements;
+        i += run;
+        continue;
       }
     }
-    i += run;
+    const WriteOutcome w = write_one(la, d, bank);
+    out.total += w.total;
+    out.movements += w.movements;
+    ++out.writes_applied;
+    ++i;
   }
   return out;
 }
@@ -299,12 +304,10 @@ bool BulkEngine<S>::refresh(std::span<const La> pattern, const pcm::PcmBank& ban
     w.ias[i] = loc.ia;
   }
   if constexpr (S::kDomainCounters) {
-    if (batch::adopt_if_changed(w.keys, w.keys_fresh)) {
-      batch::build_domain_scheds(w.keys, w.doms);
-    }
+    if (batch::adopt_if_changed(w.keys, w.keys_fresh)) batch::build_domain_scheds(w);
   }
   if (!batch::adopt_if_changed(w.pas, w.pas_fresh)) return false;
-  batch::build_line_scheds(w.pas, bank, w.lines);
+  batch::build_line_scheds(w, bank);
   return true;
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
+#include <vector>
 
 namespace srbsg::trace {
 namespace {
@@ -55,6 +57,36 @@ TEST(Profiles, BzipIsLighterThanCanneal) {
   const auto& bzip = spec2006_profiles()[1];
   const auto& canneal = parsec_profiles()[2];
   EXPECT_LT(bzip.write_mpki * 10, canneal.write_mpki);
+}
+
+TEST(Profiles, RanksLandOnDistinctLines) {
+  // Each profile scatters its Zipf ranks over its footprint; distinct
+  // ranks must land on distinct lines, or a profile touches fewer lines
+  // (and concentrates more writes on each) than its footprint says. Draw
+  // enough accesses to hit nearly every rank at least once; the distinct
+  // lines touched then come within a few percent of the rank count.
+  const u64 lines = u64{1} << 16;
+  for (auto suite : {parsec_profiles(), spec2006_profiles()}) {
+    for (const auto& p : suite) {
+      const u64 footprint = std::max<u64>(
+          16, static_cast<u64>(p.footprint * static_cast<double>(lines)));
+      const u64 ranks = std::min<u64>(footprint, 1u << 14);
+      const double mpki = p.read_mpki + p.write_mpki;
+      const auto instructions =
+          static_cast<u64>(static_cast<double>(24 * ranks) * 1000.0 / mpki);
+      const auto t = make_profile_trace(p, lines, instructions, 1);
+      std::vector<bool> touched(footprint, false);
+      u64 distinct = 0;
+      for (const auto& r : t) {
+        ASSERT_LT(r.addr, footprint) << p.name;
+        if (!touched[r.addr]) {
+          touched[r.addr] = true;
+          ++distinct;
+        }
+      }
+      EXPECT_GE(distinct, ranks * 9 / 10) << p.name << ": " << ranks << " ranks";
+    }
+  }
 }
 
 TEST(Profiles, DeterministicForSeed) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -20,6 +21,7 @@
 #include "common/rng.hpp"
 #include "controller/memory_controller.hpp"
 #include "pcm/bank.hpp"
+#include "wl/batch.hpp"
 #include "wl/factory.hpp"
 
 namespace srbsg::wl {
@@ -222,6 +224,105 @@ TEST_P(BatchEquivalence, BatchStopsExactlyAtFailure) {
   expect_identical(*ref, bref, oref, *fast, bfast, ofast);
 }
 
+/// `filler` addresses that never repeat back to back, with a run of `len`
+/// copies of one LA spliced in at offset `at`; no neighbour of the run
+/// repeats its LA, so the run is exactly `len` long.
+std::vector<La> stream_with_run(u64 lines, u64 filler, u64 len, u64 at) {
+  const La run_la{lines / 2 + 1};
+  std::vector<La> las;
+  for (u64 i = 0; i < filler; ++i) {
+    if (i == at) las.insert(las.end(), len, run_la);
+    las.push_back(La{(i * 37 + 5) % (lines / 2)});
+  }
+  if (at >= filler) las.insert(las.end(), len, run_la);
+  return las;
+}
+
+TEST_P(BatchEquivalence, BatchRunsAroundTheThreshold) {
+  // Runs just below, at and just above kRunThreshold (and the trivial
+  // ones) at a batch's start, middle and end: a run is measured only
+  // where the next address repeats, and only long ones go to write_cycle.
+  const u64 lines = 512;
+  const auto spec = spec_for(GetParam(), lines);
+  const auto data = pcm::LineData::mixed(0x2B);
+  for (const u64 len : {1u, 2u, 15u, 16u, 17u}) {
+    for (const u64 at : {0u, 20u, 40u}) {
+      SCOPED_TRACE("run=" + std::to_string(len) + " at=" + std::to_string(at));
+      auto ref = make_scheme(spec);
+      auto fast = make_windowed(spec);
+      const auto cfg = pcm::PcmConfig::scaled(lines, u64{1} << 40);
+      pcm::PcmBank bref(cfg, ref->physical_lines());
+      pcm::PcmBank bfast(cfg, fast->physical_lines());
+      const auto las = stream_with_run(lines, 40, len, at);
+      // Repeat the batch so its writes cross several remap triggers.
+      BulkOutcome oref;
+      BulkOutcome ofast;
+      for (int rep = 0; rep < 50; ++rep) {
+        const auto r = reference_batch(*ref, las, data, bref);
+        const auto f = fast->write_batch(las, data, bfast);
+        oref.total += r.total;
+        oref.writes_applied += r.writes_applied;
+        oref.movements += r.movements;
+        ofast.total += f.total;
+        ofast.writes_applied += f.writes_applied;
+        ofast.movements += f.movements;
+      }
+      EXPECT_EQ(ofast.writes_applied, 50 * las.size());
+      expect_identical(*ref, bref, oref, *fast, bfast, ofast);
+    }
+  }
+}
+
+TEST_P(BatchEquivalence, BatchFailsInsideShortAndLongRuns) {
+  // A stream of short runs (3), single writes and long runs (20). Scan the
+  // endurance until the reference loop's failing write lands (a) inside a
+  // short run, past its first write, and (b) on a long run's first write;
+  // the engine must stop on exactly that write in both cases.
+  const u64 lines = 64;
+  auto spec = spec_for(GetParam(), lines);
+  spec.regions = 4;
+  spec.inner_interval = 8;
+  spec.outer_interval = 16;
+  const auto data = pcm::LineData::mixed(0xFA11);
+  std::vector<La> las;
+  std::vector<u64> run_pos;  // position of each write inside its run
+  std::vector<u64> run_len;
+  Rng rng(3);
+  while (las.size() < 60'000) {
+    const u64 kind = rng.next_below(3);
+    const u64 len = kind == 0 ? 20 : (kind == 1 ? 3 : 1);
+    u64 la = rng.next_below(lines);
+    while (!las.empty() && las.back().value() == la) la = rng.next_below(lines);
+    for (u64 k = 0; k < len; ++k) {
+      las.push_back(La{la});
+      run_pos.push_back(k);
+      run_len.push_back(len);
+    }
+  }
+  bool inside_short = false;
+  bool first_of_long = false;
+  for (u64 endurance = 16; endurance < 4096 && !(inside_short && first_of_long); ++endurance) {
+    auto ref = make_scheme(spec);
+    const auto cfg = pcm::PcmConfig::scaled(lines, endurance);
+    pcm::PcmBank bref(cfg, ref->physical_lines());
+    const auto oref = reference_batch(*ref, las, data, bref);
+    if (!bref.has_failure()) continue;
+    const u64 failing = oref.writes_applied - 1;
+    const bool is_short = run_len[failing] == 3 && run_pos[failing] > 0;
+    const bool is_long = run_len[failing] == 20 && run_pos[failing] == 0;
+    if (!(is_short && !inside_short) && !(is_long && !first_of_long)) continue;
+    SCOPED_TRACE("endurance=" + std::to_string(endurance));
+    inside_short = inside_short || is_short;
+    first_of_long = first_of_long || is_long;
+    auto fast = make_windowed(spec);
+    pcm::PcmBank bfast(cfg, fast->physical_lines());
+    const auto ofast = fast->write_batch(las, data, bfast);
+    expect_identical(*ref, bref, oref, *fast, bfast, ofast);
+  }
+  EXPECT_TRUE(inside_short) << "no endurance failed a write inside a short run";
+  EXPECT_TRUE(first_of_long) << "no endurance failed a long run's first write";
+}
+
 TEST_P(BatchEquivalence, RepeatedMatchesLoopAtFailure) {
   // write_repeated is write_cycle over a one-address pattern, so it must
   // stop exactly where the per-write loop does: after the write that
@@ -246,6 +347,68 @@ TEST_P(BatchEquivalence, RepeatedMatchesLoopAtFailure) {
       const auto ofast = fast->write_repeated(La{la}, data, count, bfast);
       ASSERT_TRUE(bref.has_failure());
       expect_identical(*ref, bref, oref, *fast, bfast, ofast);
+    }
+  }
+}
+
+TEST(HitSchedules, InPlaceRebuildsMatchFreshOnes) {
+  // One Window rebuilt through periods 6, 1, 40, 1, 6 reuses its
+  // schedules' storage; every rebuild must equal schedules built in a
+  // fresh Window: offsets, periods, PAs/keys and remaining writes.
+  const u64 lines = 64;
+  const auto cfg = pcm::PcmConfig::scaled(lines, 1000);
+  pcm::PcmBank bank(cfg, lines);
+  for (u64 pa = 0; pa < lines; ++pa) {
+    bank.bulk_write(Pa{pa}, pcm::LineData::all_zero(), (pa * 7) % 50);
+  }
+  batch::Window reused;
+  u64 step = 0;
+  for (const u64 period : {6u, 1u, 40u, 1u, 6u}) {
+    SCOPED_TRACE("period=" + std::to_string(period) + " step=" + std::to_string(step));
+    std::vector<Pa> pas(period);
+    std::vector<u64> keys(period);
+    for (u64 i = 0; i < period; ++i) {
+      // Repeated lines and domains, offset by the step so that even the
+      // lowest PA and key change between rebuilds; every fifth position
+      // (and the second period-1 pattern) advances no domain.
+      pas[i] = Pa{step * 3 + (i * 11) % (period / 2 + 1)};
+      keys[i] = (i % 5 == 4 || (period == 1 && step == 3)) ? batch::kNoDomain
+                                                           : step + (i * 5) % 7;
+    }
+    ++step;
+    batch::Window fresh;
+    for (batch::Window* w : {&reused, &fresh}) {
+      w->pas = pas;
+      w->keys = keys;
+      batch::build_line_scheds(*w, bank);
+      batch::build_domain_scheds(*w);
+    }
+    ASSERT_EQ(reused.lines.size(), fresh.lines.size());
+    for (std::size_t g = 0; g < fresh.lines.size(); ++g) {
+      const auto& a = reused.lines[g];
+      const auto& b = fresh.lines[g];
+      EXPECT_EQ(a.pa, b.pa);
+      EXPECT_EQ(a.remaining, b.remaining);
+      EXPECT_EQ(a.hits.period(), period);
+      EXPECT_TRUE(std::ranges::equal(a.hits.offsets(), b.hits.offsets())) << "line " << g;
+    }
+    ASSERT_EQ(reused.doms.size(), fresh.doms.size());
+    for (std::size_t g = 0; g < fresh.doms.size(); ++g) {
+      const auto& a = reused.doms[g];
+      const auto& b = fresh.doms[g];
+      EXPECT_EQ(a.key, b.key);
+      EXPECT_EQ(a.hits.period(), period);
+      EXPECT_TRUE(std::ranges::equal(a.hits.offsets(), b.hits.offsets())) << "domain " << g;
+    }
+    // Each schedule holds exactly the positions of its PA or key.
+    u64 line_hits = 0;
+    for (const auto& ls : reused.lines) {
+      for (const u64 o : ls.hits.offsets()) EXPECT_EQ(pas[o], ls.pa) << "offset " << o;
+      line_hits += ls.hits.per_period();
+    }
+    EXPECT_EQ(line_hits, period);
+    for (const auto& d : reused.doms) {
+      for (const u64 o : d.hits.offsets()) EXPECT_EQ(keys[o], d.key) << "offset " << o;
     }
   }
 }
