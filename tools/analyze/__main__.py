@@ -5,13 +5,12 @@ The third leg of the correctness stack (lint -> runtime audit -> static
 analysis).  Drives plain `clang -Xclang -ast-dump=json` over the
 CMake-exported compile database, runs per-TU checks, then merges the
 per-TU summaries into a whole-program symbol graph (graph.py) for the
-interprocedural checks:
+two interprocedural checks (a5, a10):
 
   a1-width          64-bit address/wear values narrowed below 64 bits
   a2-determinism    randomness / wall clock / pointer hashing /
                     unordered-container iteration (the regex-visible
                     cases, such as #include <ctime>, are lint R1's)
-  a3-race           unsynchronized shared-state writes in pool lambdas
   a4-state          mutable static state inside wear-leveling schemes
   a5-unchecked      WearLeveler entry points with unvalidated parameters
                     (cross-TU: callees checking on the caller's behalf
@@ -19,16 +18,14 @@ interprocedural checks:
   a6-batch          per-write loops in bench//src/attack that should use
                     the batched write path (write_batch / write_cycle)
   a7-telemetry      telemetry emitted outside the Recorder/counter API
-  a8-taint          nondeterministic values (rand, wall clock, pointer
-                    hashes) flowing -- through returns, out-params and
-                    stored fields, across TUs -- into serialization
-                    sinks (telemetry JSONL, bench JSON writers)
-  a9-lock           fields written, via any call chain entered from a
-                    parallel_for / pool-submitted lambda, without a lock
-                    or atomic (interprocedural a3)
   a10-lifetime      std::span / Recorder* parameters escaping into
                     members that outlive the call (direct stores and
                     forwards through callees)
+  a11-span          telemetry span begins not closed on every path out
+                    of their scope
+
+Data races are not checked here: CI runs the whole test suite under
+ThreadSanitizer (the `tsan` preset) instead.
 
 Every run parses every selected TU with clang, one worker process per
 core, then solves the cross-TU fixed points over all of them.
@@ -206,7 +203,7 @@ def main(argv: list[str]) -> int:
             clang, tus, repo_root, src_root, check_ids)
 
     # Whole-program phase: merge per-TU summaries, solve the cross-TU
-    # fixed points (a5 check closure, a8 taint, a9 writes, a10 escapes).
+    # fixed points (a5 check closure, a10 escapes).
     for cls in check_classes:
         per_tu = [(rel, summaries[cls.id]) for rel, summaries in tu_summaries
                   if cls.id in summaries]

@@ -11,17 +11,16 @@ analyzer's own fixture tree) are in scope for every check, so
 seeded-violation fixtures exercise each check without living in src/.
 
 The conservatism direction is fixed and intentional: calls whose bodies
-the analyzer has not seen are *trusted* (assumed to validate), lambda
-writes indexed by the task parameter are *allowed*, literal narrowings
-that provably fit are *ignored*.  False positives erode the baseline
-discipline faster than false negatives erode coverage — the runtime
-auditor (src/audit) backstops what static analysis lets through.
+the analyzer has not seen are *trusted* (assumed to validate), literal
+narrowings that provably fit are *ignored*.  False positives erode the
+baseline discipline faster than false negatives erode coverage — the
+runtime auditor (src/audit) backstops what static analysis lets through.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator, Optional
+from typing import Optional
 
 import graph
 from engine import (Cursor, JsonNode, callee_of, children, desugared_type,
@@ -35,16 +34,8 @@ CHECK_FAMILY = {
 
 _ADDR_TYPE = re.compile(r"\b(La|Ia|Pa|Addr<|Ns)\b")
 
-# Function-declaration kinds the interprocedural checks summarize.
+# Function-declaration kinds a10-lifetime summarizes.
 _FUNC_KINDS = ("FunctionDecl", "CXXMethodDecl")
-
-# Kinds that open a new function-ish scope: iter_own_stmts yields them
-# but does not descend, so a function's facts never absorb statements
-# that belong to a nested lambda / local class / nested function.
-_NEST_BARRIERS = {"LambdaExpr", "FunctionDecl", "CXXMethodDecl",
-                  "CXXConstructorDecl", "CXXDestructorDecl",
-                  "CXXConversionDecl", "CXXRecordDecl", "ClassTemplateDecl",
-                  "FunctionTemplateDecl"}
 
 # Value-preserving wrapper nodes clang interposes between an expression
 # and the DeclRefExpr/MemberExpr the checks care about.  Only peeled when
@@ -55,27 +46,9 @@ _EXPR_WRAPPERS = {"ImplicitCastExpr", "ParenExpr", "ExprWithCleanups",
                   "CXXBindTemporaryExpr", "CXXConstructExpr",
                   "CXXFunctionalCastExpr", "CXXStaticCastExpr"}
 
-_TYPE_NOISE = re.compile(r"\b(const|volatile|struct|class|enum)\b")
-
 
 def _is_const_qual(qual: str) -> bool:
     return qual.startswith("const ") or qual.endswith(" const")
-
-
-def iter_own_stmts(node: JsonNode) -> Iterator[JsonNode]:
-    """Pre-order over `node`'s subtree, not descending into nested
-    function-ish scopes (see _NEST_BARRIERS).  The root is always
-    yielded and descended into, whatever its kind."""
-    stack: list[tuple[JsonNode, bool]] = [(node, True)]
-    while stack:
-        cur, is_root = stack.pop()
-        if not isinstance(cur, dict):
-            continue
-        yield cur
-        if not is_root and cur.get("kind", "") in _NEST_BARRIERS:
-            continue
-        for child in reversed(children(cur)):
-            stack.append((child, False))
 
 
 def strip_expr(node: Optional[JsonNode]) -> Optional[JsonNode]:
@@ -104,40 +77,6 @@ def _body_of(node: JsonNode) -> Optional[JsonNode]:
     return None
 
 
-def _member_of(call: JsonNode) -> Optional[JsonNode]:
-    """The MemberExpr naming a member call's target, or None."""
-    head = first_expr_child(call)
-    if head is None:
-        return None
-    for node in iter_subtree(head):
-        if node.get("kind") == "MemberExpr":
-            return node
-    return None
-
-
-def _class_of_type(qual: str) -> str:
-    """Bare class name of a (possibly qualified/templated) type string."""
-    qual = _TYPE_NOISE.sub("", qual or "")
-    qual = qual.replace("*", " ").replace("&", " ").strip()
-    base = qual.split("<")[0].strip()
-    if not base:
-        return ""
-    return base.split("::")[-1].strip()
-
-
-def _field_key(member: JsonNode, encl_cls: str) -> str:
-    """`Cls::field` key for a MemberExpr, best effort."""
-    name = member.get("name", "") or ""
-    base = strip_expr(first_expr_child(member))
-    cls_name = ""
-    if base is not None:
-        if base.get("kind") == "CXXThisExpr":
-            cls_name = encl_cls
-        else:
-            cls_name = _class_of_type(desugared_type(base) or qual_type(base))
-    return f"{cls_name}::{name}" if cls_name else name
-
-
 def _unwrap_reason(reason) -> str:
     """Field name at the end of a solve_param_escapes via-chain."""
     while isinstance(reason, (list, tuple)) and reason and reason[0] == "via":
@@ -164,7 +103,7 @@ class TuContext:
     def note_node(self, cursor: Cursor) -> None:
         """Shared per-node bookkeeping, run once before the check visitors
         (class hierarchy facts used by a5's entry points and by the
-        interprocedural checks' `Cls::name` keys)."""
+        `Cls::name` keys of a5 and a10)."""
         if cursor.kind != "CXXRecordDecl":
             return
         if self.rel(cursor.file) is None:
@@ -405,92 +344,6 @@ class DeterminismCheck(Check):
                             "order is hash-seed dependent and must not feed "
                             "results")
                     return
-
-
-class RaceCheck(Check):
-    """A3: unsynchronized shared-state writes in pool-submitted lambdas.
-
-    Fires on lambdas handed to `submit`/`parallel_for`/`enqueue` that
-    mutate state captured from outside the lambda.  The disjoint-slice
-    idiom (writing through a subscript indexed by the task's own
-    parameter, as run_sweep does) is allowed; so are atomics and bodies
-    that take a lock.
-    """
-
-    id = "a3-race"
-    description = ("pool-submitted lambda mutates shared state captured from "
-                   "the enclosing scope without synchronization")
-    suggestion = ("give each task its own output slot indexed by the task "
-                  "parameter, or guard the shared state with a mutex/atomic")
-    scope_dirs = ("src/",)
-
-    _SUBMITTERS = {"submit", "parallel_for", "enqueue"}
-    _LOCKS = re.compile(r"\b(lock_guard|unique_lock|scoped_lock|shared_lock)\b")
-
-    def visit(self, cursor: Cursor, ctx: TuContext) -> None:
-        if cursor.kind not in ("CallExpr", "CXXMemberCallExpr"):
-            return
-        if not ctx.in_scope(cursor.file, self.scope_dirs):
-            return
-        name, _ = callee_of(cursor.node)
-        if name not in self._SUBMITTERS:
-            return
-        for sub in iter_subtree(cursor.node):
-            if sub.get("kind") == "LambdaExpr":
-                self._visit_lambda(sub, cursor, ctx)
-
-    def _visit_lambda(self, lam: JsonNode, cursor: Cursor, ctx: TuContext) -> None:
-        declared: set = set()
-        params: set = set()
-        for sub in iter_subtree(lam):
-            kind = sub.get("kind", "")
-            sub_id = sub.get("id")
-            if kind == "ParmVarDecl":
-                params.add(sub_id)
-                declared.add(sub_id)
-            elif kind.endswith("VarDecl"):
-                declared.add(sub_id)
-                if self._LOCKS.search(desugared_type(sub)):
-                    return  # body takes a lock: treated as synchronized
-        reported: set = set()
-        for sub in iter_subtree(lam):
-            kind = sub.get("kind")
-            target: Optional[JsonNode] = None
-            if kind == "BinaryOperator" and sub.get("opcode") == "=":
-                target = first_expr_child(sub)
-            elif kind == "CompoundAssignOperator":
-                target = first_expr_child(sub)
-            elif kind == "UnaryOperator" and sub.get("opcode") in ("++", "--"):
-                target = first_expr_child(sub)
-            if target is None:
-                continue
-            victim = self._external_write_target(target, declared, params)
-            if victim and victim not in reported:
-                reported.add(victim)
-                ctx.add(self, cursor,
-                        f"lambda submitted to '{callee_of(cursor.node)[0]}' "
-                        f"mutates captured '{victim}' without synchronization")
-
-    @staticmethod
-    def _external_write_target(lhs: JsonNode, declared: set,
-                               params: set) -> Optional[str]:
-        external: Optional[str] = None
-        for sub in iter_subtree(lhs):
-            kind = sub.get("kind")
-            if kind == "DeclRefExpr":
-                ref = sub.get("referencedDecl")
-                if not isinstance(ref, dict):
-                    continue
-                if ref.get("id") in params:
-                    return None  # indexed by the task parameter: disjoint slice
-                if ref.get("id") not in declared and \
-                        ref.get("kind", "").endswith("VarDecl"):
-                    if "atomic" in (ref.get("type") or {}).get("qualType", ""):
-                        return None
-                    external = external or ref.get("name") or "<captured>"
-            elif kind == "CXXThisExpr":
-                external = external or "this->"
-        return external
 
 
 class StateCheck(Check):
@@ -808,611 +661,6 @@ class TelemetryCheck(Check):
                         "library code")
 
 
-def _join(into: list, atoms: list) -> None:
-    for atom in atoms:
-        if atom not in into:
-            into.append(atom)
-
-
-def _resolve_vars(atoms: list, vmap: dict, _seen: Optional[set] = None) -> list:
-    """Replaces local ["var", id] atoms by the atoms of the variable's
-    initializer/assignments; cycle-safe; unresolvable vars drop out
-    (bottom)."""
-    seen = _seen if _seen is not None else set()
-    out: list = []
-    for atom in atoms:
-        if atom[0] == "var":
-            vid = atom[1]
-            if vid in seen:
-                continue
-            seen.add(vid)
-            for sub in _resolve_vars(vmap.get(vid, []), vmap, seen):
-                if sub not in out:
-                    out.append(sub)
-        elif atom not in out:
-            out.append(atom)
-    return out
-
-
-class TaintCheck(Check):
-    """A8: determinism taint reaching serialization sinks, cross-TU.
-
-    Per TU, every function body is compressed into a taint summary:
-    which nondeterminism sources (rand family, wall clocks, pointer
-    hashing, pointer-to-integer casts) flow into its return value, its
-    pointer/reference out-parameters, and the fields it stores.  Local
-    variable flow is resolved within the TU; cross-function flow is the
-    least fixed point solved in graph.solve_taint() over every TU's
-    summary.  A finding fires when a sink call's arguments resolve to a
-    non-empty source-label set.
-
-    Sinks are the JSON/JSONL emitters: `write_jsonl`/`write_file`
-    (src/telemetry/collector.cpp) and anything whose name contains
-    json/serial (the bench_util.hpp writer family).  bench/ binaries
-    time themselves with wall clocks by design, so wall-clock sources
-    are only tainted when read outside bench/; randomness taints
-    everywhere.
-    """
-
-    id = "a8-taint"
-    description = ("nondeterministic value (randomness / wall clock / "
-                   "pointer bits) flows into a serialization sink, possibly "
-                   "across function boundaries")
-    suggestion = ("derive serialized values from simulated time and a seeded "
-                  "srbsg::Rng only; per-run values (wall clocks, heap "
-                  "addresses) must not reach JSON/JSONL emitters")
-    scope_dirs = ()  # sinks live in src/ (telemetry) and bench/ (JSON writers)
-
-    _RAND = {"rand": "rand()", "random": "random()", "drand48": "drand48()",
-             "lrand48": "lrand48()"}
-    _WALL = {"time": "time()", "clock": "clock()",
-             "gettimeofday": "gettimeofday()",
-             "clock_gettime": "clock_gettime()",
-             "timespec_get": "timespec_get()"}
-    _SINK_EXACT = {"write_jsonl", "write_file"}
-    _SINK_RE = re.compile(r"json|serial", re.I)
-    _PTR_CASTS = {"ImplicitCastExpr", "CStyleCastExpr", "CXXStaticCastExpr",
-                  "CXXReinterpretCastExpr", "CXXFunctionalCastExpr"}
-    _HASH_PTR = DeterminismCheck._HASH_PTR
-    _CALL_KINDS = ("CallExpr", "CXXMemberCallExpr", "CXXOperatorCallExpr")
-
-    def __init__(self) -> None:
-        self._functions: dict[str, dict] = {}
-        self._var_atoms: dict[str, dict] = {}  # fn key -> {var id: atoms}
-        self._fn_keys: dict[str, str] = {}     # fn node id -> fn key
-        self._sinks: list[dict] = []
-
-    def visit(self, cursor: Cursor, ctx: TuContext) -> None:
-        kind = cursor.kind
-        if kind in _FUNC_KINDS:
-            self._enter_function(cursor, ctx)
-        elif kind in ("CallExpr", "CXXMemberCallExpr"):
-            name, _ = callee_of(cursor.node)
-            if self._is_sink(name) and \
-                    ctx.in_scope(cursor.file, self.scope_dirs):
-                self._note_sink(cursor, ctx, name)
-
-    def _is_sink(self, name: str) -> bool:
-        if not name:
-            return False
-        return name in self._SINK_EXACT or bool(self._SINK_RE.search(name))
-
-    # -- per-function summary ----------------------------------------------
-
-    def _enter_function(self, cursor: Cursor, ctx: TuContext) -> None:
-        node = cursor.node
-        name = node.get("name", "") or ""
-        if not name or name.startswith("operator"):
-            return
-        rel = ctx.rel(cursor.file)
-        if rel is None:
-            return
-        body = _body_of(node)
-        if body is None:
-            return
-        sig = qual_type(node)
-        cls_name = ctx.enclosing_class(cursor)
-        key = f"{cls_name}::{name}|{sig}"
-        node_id = node.get("id")
-        if isinstance(node_id, str):
-            self._fn_keys[node_id] = key
-        in_bench = rel.startswith("bench/")
-        rec = self._functions.setdefault(
-            key, {"name": name, "sig": sig, "returns": [],
-                  "out_params": {}, "field_stores": {}})
-        var_atoms = self._var_atoms.setdefault(key, {})
-        out_params: dict = {}
-        idx = -1
-        for child in children(node):
-            if child.get("kind") != "ParmVarDecl":
-                continue
-            idx += 1
-            qual = qual_type(child)
-            if "const" in qual:
-                continue
-            if "*" in qual or qual.rstrip().endswith("&"):
-                out_params[child.get("id")] = idx
-        for sub in iter_own_stmts(body):
-            skind = sub.get("kind", "")
-            if skind == "VarDecl":
-                atoms = var_atoms.setdefault(sub.get("id"), [])
-                qual = desugared_type(sub)
-                if "random_device" in qual:
-                    _join(atoms, [["src", "std::random_device"]])
-                elif self._HASH_PTR.search(qual):
-                    _join(atoms, [["src", "pointer hash"]])
-                init = first_expr_child(sub)
-                if init is not None:
-                    collected: list = []
-                    self._collect_atoms(init, cls_name, in_bench, collected)
-                    _join(atoms, collected)
-            elif skind == "ReturnStmt":
-                expr = first_expr_child(sub)
-                if expr is not None:
-                    collected = []
-                    self._collect_atoms(expr, cls_name, in_bench, collected)
-                    _join(rec["returns"], collected)
-            elif skind in ("BinaryOperator", "CompoundAssignOperator"):
-                if skind == "BinaryOperator" and sub.get("opcode") != "=":
-                    continue
-                kids = _expr_children(sub)
-                if len(kids) != 2:
-                    continue
-                collected = []
-                self._collect_atoms(kids[1], cls_name, in_bench, collected)
-                if collected:
-                    self._record_store(kids[0], collected, var_atoms,
-                                       out_params, rec, cls_name)
-            elif skind in self._CALL_KINDS:
-                self._note_out_args(sub, var_atoms)
-
-    def _collect_atoms(self, expr: JsonNode, cls_name: str, in_bench: bool,
-                       out: list) -> None:
-        for sub in iter_own_stmts(expr):
-            skind = sub.get("kind", "")
-            if skind in self._PTR_CASTS:
-                if sub.get("castKind") == "PointerToIntegral":
-                    _join(out, [["src", "pointer-to-integer cast"]])
-            elif skind in ("CXXConstructExpr", "CXXTemporaryObjectExpr"):
-                qual = desugared_type(sub)
-                if "random_device" in qual:
-                    _join(out, [["src", "std::random_device"]])
-                elif self._HASH_PTR.search(qual):
-                    _join(out, [["src", "pointer hash"]])
-            elif skind in self._CALL_KINDS:
-                cname, csig = callee_of(sub)
-                if not cname or cname.startswith("operator"):
-                    continue
-                if cname in self._RAND:
-                    _join(out, [["src", self._RAND[cname]]])
-                elif cname in self._WALL:
-                    if not in_bench:
-                        _join(out, [["src", self._WALL[cname]]])
-                elif cname == "now" and ("clock" in csig or
-                                         "time_point" in csig):
-                    if not in_bench:
-                        _join(out, [["src", "wall-clock now()"]])
-                elif cname not in CHECK_FAMILY:
-                    _join(out, [["call", cname]])
-            elif skind == "DeclRefExpr":
-                ref = sub.get("referencedDecl") or {}
-                if ref.get("kind", "").endswith("VarDecl") and ref.get("id"):
-                    _join(out, [["var", ref.get("id")]])
-            elif skind == "MemberExpr":
-                if "bound member function" not in qual_type(sub):
-                    _join(out, [["field", _field_key(sub, cls_name)]])
-
-    def _record_store(self, lhs: JsonNode, atoms: list, var_atoms: dict,
-                      out_params: dict, rec: dict, cls_name: str) -> None:
-        target = strip_expr(lhs)
-        if target is None:
-            return
-        tkind = target.get("kind")
-        if tkind == "UnaryOperator" and target.get("opcode") == "*":
-            inner = strip_expr(first_expr_child(target))
-            if inner is not None and inner.get("kind") == "DeclRefExpr":
-                ref = inner.get("referencedDecl") or {}
-                if ref.get("id") in out_params:
-                    _join(rec["out_params"].setdefault(
-                        str(out_params[ref.get("id")]), []), atoms)
-            return
-        if tkind == "DeclRefExpr":
-            ref = target.get("referencedDecl") or {}
-            if ref.get("id") in out_params:
-                _join(rec["out_params"].setdefault(
-                    str(out_params[ref.get("id")]), []), atoms)
-            elif ref.get("kind", "").endswith("VarDecl") and ref.get("id"):
-                _join(var_atoms.setdefault(ref.get("id"), []), atoms)
-            return
-        if tkind == "MemberExpr":
-            base = strip_expr(first_expr_child(target))
-            if base is not None and base.get("kind") == "DeclRefExpr":
-                ref = base.get("referencedDecl") or {}
-                if ref.get("id") in out_params:
-                    _join(rec["out_params"].setdefault(
-                        str(out_params[ref.get("id")]), []), atoms)
-                    return
-            _join(rec["field_stores"].setdefault(
-                _field_key(target, cls_name), []), atoms)
-
-    def _note_out_args(self, call: JsonNode, var_atoms: dict) -> None:
-        """A variable passed (by name or address) to a call may be written
-        through the callee's out-parameter: record an ["out", ...] atom."""
-        cname, _ = callee_of(call)
-        if not cname or cname.startswith("operator") or cname in CHECK_FAMILY:
-            return
-        for k, arg in enumerate(children(call)[1:]):
-            target = strip_expr(arg)
-            if target is not None and target.get("kind") == "UnaryOperator" \
-                    and target.get("opcode") == "&":
-                target = strip_expr(first_expr_child(target))
-            if target is None or target.get("kind") != "DeclRefExpr":
-                continue
-            ref = target.get("referencedDecl") or {}
-            if ref.get("kind", "").endswith("VarDecl") and ref.get("id"):
-                _join(var_atoms.setdefault(ref.get("id"), []),
-                      [["out", cname, k]])
-
-    # -- sinks ---------------------------------------------------------------
-
-    def _note_sink(self, cursor: Cursor, ctx: TuContext, name: str) -> None:
-        rel = ctx.rel(cursor.file)
-        if rel is None:
-            return
-        fn = cursor.enclosing_function()
-        atoms: list = []
-        in_bench = rel.startswith("bench/")
-        cls_name = ctx.enclosing_class(cursor)
-        for arg in children(cursor.node)[1:]:
-            self._collect_atoms(arg, cls_name, in_bench, atoms)
-        if not atoms:
-            return
-        self._sinks.append({
-            "file": rel, "line": cursor.line or 0,
-            "context": (fn.get("name", "") or "") if fn is not None else "",
-            "callee": name,
-            "fn_id": fn.get("id") if fn is not None else None,
-            "atoms": atoms,
-        })
-
-    # -- summary / whole-program solve ---------------------------------------
-
-    def summarize(self, ctx: TuContext) -> Optional[dict]:
-        if not self._functions and not self._sinks:
-            return None
-        functions = {}
-        for key, rec in self._functions.items():
-            vmap = self._var_atoms.get(key, {})
-            functions[key] = {
-                "name": rec["name"], "sig": rec["sig"],
-                "returns": _resolve_vars(rec["returns"], vmap),
-                "out_params": {k: _resolve_vars(v, vmap)
-                               for k, v in rec["out_params"].items()},
-                "field_stores": {k: _resolve_vars(v, vmap)
-                                 for k, v in rec["field_stores"].items()},
-            }
-        sinks = []
-        for sink in self._sinks:
-            key = self._fn_keys.get(sink.pop("fn_id") or "")
-            vmap = self._var_atoms.get(key, {}) if key else {}
-            sink["atoms"] = _resolve_vars(sink["atoms"], vmap)
-            if sink["atoms"]:
-                sinks.append(sink)
-        return {"functions": functions, "sinks": sinks}
-
-    @classmethod
-    def finalize_program(cls, tus: list) -> list[dict]:
-        merged = graph.merge_function_maps(tus, "functions")
-        ret_taint, field_taint, out_taint = graph.solve_taint(merged)
-        findings = []
-        seen: set = set()
-        for _rel, summary in tus:
-            for sink in summary.get("sinks", []):
-                labels = sorted(graph.resolve_atoms(
-                    sink["atoms"], ret_taint, field_taint, out_taint))
-                if not labels:
-                    continue
-                dedup = (sink["file"], sink["line"], sink["callee"])
-                if dedup in seen:
-                    continue
-                seen.add(dedup)
-                findings.append({
-                    "check": cls.id, "file": sink["file"],
-                    "line": sink["line"],
-                    "message": (f"nondeterministic value ("
-                                f"{', '.join(labels)}) reaches serialization "
-                                f"sink '{sink['callee']}()'"),
-                    "suggestion": cls.suggestion,
-                    "context": sink.get("context", ""),
-                })
-        return findings
-
-
-class LockCheck(Check):
-    """A9: lock/atomic discipline across TU boundaries.
-
-    The interprocedural generalization of a3: a3 sees a submitted lambda
-    mutate captured state directly; a9 follows the calls the lambda
-    makes.  Per TU, every function is summarized with the non-atomic
-    fields it writes without declaring a lock, the fields it writes
-    through its pointer/reference parameters, the same-class methods it
-    calls on `this`, and the parameters it forwards verbatim.  Submit
-    sites (`submit`/`parallel_for`/`enqueue` receiving an inline lambda)
-    record the member calls on captured objects and the captured
-    variables passed to free functions.  The whole-program solve
-    (graph.solve_method_writes / solve_param_escapes) then decides, with
-    every TU's summary on the table, whether the callee chain reaches an
-    unguarded field write.  Lock-declaring lambdas/methods and callees
-    never summarized are trusted.
-    """
-
-    id = "a9-lock"
-    description = ("code reachable from a pool-submitted lambda (in any TU) "
-                   "writes a field with no lock or atomic")
-    suggestion = ("guard the field with a mutex or make it std::atomic; "
-                  "methods called from submitted lambdas run under the "
-                  "pool's concurrency whatever TU they live in")
-    scope_dirs = ("src/",)
-
-    _SUBMITTERS = RaceCheck._SUBMITTERS
-    _LOCKS = RaceCheck._LOCKS
-
-    def __init__(self) -> None:
-        self._functions: dict[str, dict] = {}
-        self._sites: list[dict] = []
-
-    def visit(self, cursor: Cursor, ctx: TuContext) -> None:
-        kind = cursor.kind
-        if kind in _FUNC_KINDS:
-            self._enter_function(cursor, ctx)
-        elif kind in ("CallExpr", "CXXMemberCallExpr"):
-            name, _ = callee_of(cursor.node)
-            if name in self._SUBMITTERS and \
-                    ctx.in_scope(cursor.file, self.scope_dirs):
-                self._note_sites(cursor, ctx, name)
-
-    # -- per-function facts --------------------------------------------------
-
-    def _enter_function(self, cursor: Cursor, ctx: TuContext) -> None:
-        node = cursor.node
-        name = node.get("name", "") or ""
-        if not name or name.startswith("operator"):
-            return
-        if ctx.rel(cursor.file) is None:
-            return
-        body = _body_of(node)
-        if body is None:
-            return
-        cls_name = ctx.enclosing_class(cursor)
-        sig = qual_type(node)
-        rec = self._functions.setdefault(
-            f"{cls_name}::{name}|{sig}",
-            {"name": name, "sig": sig, "cls": cls_name, "guarded": False,
-             "field_writes": [], "this_calls": [], "param_writes": {},
-             "param_forwards": []})
-        ref_params: dict = {}
-        idx = -1
-        for child in children(node):
-            if child.get("kind") != "ParmVarDecl":
-                continue
-            idx += 1
-            qual = qual_type(child)
-            if "const" in qual:
-                continue
-            if "*" in qual or qual.rstrip().endswith("&"):
-                ref_params[child.get("id")] = idx
-        for sub in iter_own_stmts(body):
-            skind = sub.get("kind", "")
-            if skind.endswith("VarDecl") and \
-                    self._LOCKS.search(desugared_type(sub)):
-                rec["guarded"] = True
-            elif skind in ("BinaryOperator", "CompoundAssignOperator",
-                           "UnaryOperator"):
-                if skind == "BinaryOperator" and sub.get("opcode") != "=":
-                    continue
-                if skind == "UnaryOperator" and \
-                        sub.get("opcode") not in ("++", "--"):
-                    continue
-                self._note_write(sub, rec, ref_params)
-            elif skind == "CXXMemberCallExpr":
-                member = _member_of(sub)
-                if member is not None:
-                    base = strip_expr(first_expr_child(member))
-                    mname = member.get("name", "") or ""
-                    if base is not None and \
-                            base.get("kind") == "CXXThisExpr" and mname and \
-                            mname not in rec["this_calls"]:
-                        rec["this_calls"].append(mname)
-                self._note_forwards(sub, rec, ref_params)
-            elif skind == "CallExpr":
-                self._note_forwards(sub, rec, ref_params)
-
-    def _note_write(self, stmt: JsonNode, rec: dict,
-                    ref_params: dict) -> None:
-        target = strip_expr(first_expr_child(stmt))
-        if target is None or target.get("kind") != "MemberExpr":
-            return
-        if "atomic" in desugared_type(target):
-            return
-        fname = target.get("name", "") or ""
-        if not fname:
-            return
-        base = strip_expr(first_expr_child(target))
-        if base is None:
-            return
-        if base.get("kind") == "CXXThisExpr":
-            if fname not in rec["field_writes"]:
-                rec["field_writes"].append(fname)
-        elif base.get("kind") == "DeclRefExpr":
-            ref = base.get("referencedDecl") or {}
-            if ref.get("id") in ref_params:
-                rec["param_writes"].setdefault(
-                    str(ref_params[ref.get("id")]), fname)
-
-    def _note_forwards(self, call: JsonNode, rec: dict,
-                       ref_params: dict) -> None:
-        cname, _ = callee_of(call)
-        if not cname or cname.startswith("operator") or \
-                cname in CHECK_FAMILY or cname in self._SUBMITTERS:
-            return
-        for k, arg in enumerate(children(call)[1:]):
-            target = strip_expr(arg)
-            if target is None or target.get("kind") != "DeclRefExpr":
-                continue
-            ref = target.get("referencedDecl") or {}
-            if ref.get("id") in ref_params:
-                edge = [ref_params[ref.get("id")], cname, k]
-                if edge not in rec["param_forwards"]:
-                    rec["param_forwards"].append(edge)
-
-    # -- submit sites --------------------------------------------------------
-
-    def _note_sites(self, cursor: Cursor, ctx: TuContext,
-                    submit_name: str) -> None:
-        rel = ctx.rel(cursor.file)
-        if rel is None:
-            return
-        fn = cursor.enclosing_function()
-        context = (fn.get("name", "") or "") if fn is not None else ""
-        encl_cls = ctx.enclosing_class(cursor)
-        for sub in iter_subtree(cursor.node):
-            if sub.get("kind") == "LambdaExpr":
-                self._scan_lambda(sub, submit_name, rel, cursor.line or 0,
-                                  context, encl_cls)
-
-    def _scan_lambda(self, lam: JsonNode, submit_name: str, rel: str,
-                     line: int, context: str, encl_cls: str) -> None:
-        declared: set = set()
-        for sub in iter_subtree(lam):
-            skind = sub.get("kind", "")
-            if skind.endswith("VarDecl"):
-                declared.add(sub.get("id"))
-                if self._LOCKS.search(desugared_type(sub)):
-                    return  # body takes a lock: treated as synchronized
-        for sub in iter_subtree(lam):
-            skind = sub.get("kind")
-            if skind == "CXXMemberCallExpr":
-                self._scan_member_call(sub, declared, submit_name, rel, line,
-                                       context, encl_cls)
-            elif skind == "CallExpr":
-                self._scan_free_call(sub, declared, submit_name, rel, line,
-                                     context)
-
-    def _scan_member_call(self, call: JsonNode, declared: set,
-                          submit_name: str, rel: str, line: int,
-                          context: str, encl_cls: str) -> None:
-        member = _member_of(call)
-        if member is None:
-            return
-        mname = member.get("name", "") or ""
-        if not mname or mname.startswith("operator"):
-            return
-        base = strip_expr(first_expr_child(member))
-        if base is None:
-            return
-        if base.get("kind") == "CXXThisExpr":
-            self._sites.append({
-                "kind": "method", "cls": encl_cls, "callee": mname,
-                "recv": "this", "submit": submit_name, "file": rel,
-                "line": line, "context": context})
-            return
-        if base.get("kind") != "DeclRefExpr":
-            return
-        ref = base.get("referencedDecl") or {}
-        if ref.get("id") in declared or \
-                not ref.get("kind", "").endswith("VarDecl"):
-            return
-        rtype = desugared_type(base) or qual_type(base) or \
-            ((ref.get("type") or {}).get("qualType", "") or "")
-        if "atomic" in rtype:
-            return
-        self._sites.append({
-            "kind": "method", "cls": _class_of_type(rtype), "callee": mname,
-            "recv": ref.get("name") or "<captured>", "submit": submit_name,
-            "file": rel, "line": line, "context": context})
-
-    def _scan_free_call(self, call: JsonNode, declared: set,
-                        submit_name: str, rel: str, line: int,
-                        context: str) -> None:
-        cname, _ = callee_of(call)
-        if not cname or cname.startswith("operator") or \
-                cname in CHECK_FAMILY or cname in self._SUBMITTERS:
-            return
-        for k, arg in enumerate(children(call)[1:]):
-            target = strip_expr(arg)
-            if target is None or target.get("kind") != "DeclRefExpr":
-                continue
-            ref = target.get("referencedDecl") or {}
-            if ref.get("id") in declared or \
-                    not ref.get("kind", "").endswith("VarDecl"):
-                continue
-            if "atomic" in ((ref.get("type") or {}).get("qualType", "")):
-                continue
-            self._sites.append({
-                "kind": "free", "callee": cname, "argidx": k,
-                "arg": ref.get("name") or "<captured>",
-                "submit": submit_name, "file": rel, "line": line,
-                "context": context})
-
-    # -- summary / whole-program solve ---------------------------------------
-
-    def summarize(self, ctx: TuContext) -> Optional[dict]:
-        if not self._functions and not self._sites:
-            return None
-        return {"functions": self._functions, "sites": self._sites}
-
-    @classmethod
-    def finalize_program(cls, tus: list) -> list[dict]:
-        merged = graph.merge_function_maps(tus, "functions")
-        writes = graph.solve_method_writes(merged)
-        # Guarded functions are trusted end to end: a write through a
-        # parameter (or a forward to an unguarded writer) performed under
-        # a declared lock is synchronized, same as guarded methods in
-        # solve_method_writes.
-        escapes = graph.solve_param_escapes(
-            merged,
-            lambda rec: {} if rec.get("guarded") else
-            {int(k): ["write", v]
-             for k, v in (rec.get("param_writes") or {}).items()},
-            lambda rec: [] if rec.get("guarded") else
-            (rec.get("param_forwards") or []))
-        findings = []
-        seen: set = set()
-        for _rel, summary in tus:
-            for site in summary.get("sites", []):
-                if site["kind"] == "method":
-                    field = writes.get((site.get("cls", ""), site["callee"]))
-                    if field is None:
-                        continue
-                    recv = site.get("recv", "<captured>")
-                    target = "this" if recv == "this" else f"captured '{recv}'"
-                    message = (
-                        f"lambda submitted to '{site['submit']}' calls "
-                        f"'{site.get('cls') or '?'}::{site['callee']}()' on "
-                        f"{target}, which writes field '{field}' with no "
-                        "lock or atomic")
-                else:
-                    reason = escapes.get((site["callee"],
-                                          int(site["argidx"])))
-                    if reason is None:
-                        continue
-                    field = _unwrap_reason(reason)
-                    message = (
-                        f"lambda submitted to '{site['submit']}' passes "
-                        f"captured '{site['arg']}' to '{site['callee']}()', "
-                        f"which writes field '{field}' with no lock or "
-                        "atomic")
-                dedup = (site["file"], site["line"], message)
-                if dedup in seen:
-                    continue
-                seen.add(dedup)
-                findings.append({"check": cls.id, "file": site["file"],
-                                 "line": site["line"], "message": message,
-                                 "suggestion": cls.suggestion,
-                                 "context": site.get("context", "")})
-        return findings
-
-
 class LifetimeCheck(Check):
     """A10: view parameters (std::span / Recorder*) escaping into members.
 
@@ -1719,7 +967,6 @@ class SpanCheck(Check):
         return None
 
 
-ALL_CHECKS = [WidthCheck, DeterminismCheck, RaceCheck, StateCheck,
-              UncheckedCheck, BatchCheck, TelemetryCheck, TaintCheck,
-              LockCheck, LifetimeCheck, SpanCheck]
+ALL_CHECKS = [WidthCheck, DeterminismCheck, StateCheck, UncheckedCheck,
+              BatchCheck, TelemetryCheck, LifetimeCheck, SpanCheck]
 CHECKS_BY_ID = {c.id: c for c in ALL_CHECKS}

@@ -4,7 +4,8 @@ Per-TU visitors (checks.py) compress each translation unit into small
 JSON-serializable *summaries* — per-function facts plus the call edges
 between them.  This module owns the whole-program half: it merges the
 summaries of every analyzed TU into one symbol graph and runs the
-fixed-point solvers the interprocedural checks (a5, a8, a9, a10) share.
+fixed-point solvers of the two interprocedural checks: a5-unchecked's
+'reaches a check' closure and a10-lifetime's parameter escapes.
 Summaries are plain JSON so they cross the driver's process pool
 unchanged.
 
@@ -15,36 +16,14 @@ resolution is by *name*: a call edge `("call", "foo")` matches every
 summarized function whose bare name is `foo` (overloads merge, which
 over-approximates but only along edges that already carry a fact).
 Callees with no summary — std library, system headers, bodies the
-analyzer never saw — resolve as *trusted*: they contribute no taint, no
-writes, no escapes.  That keeps the conservatism direction identical to
-the per-TU checks: under-report rather than guess.
-
-The taint lattice
------------------
-a8's atoms form a flat lattice per value: an expression's abstract value
-is a *set of atoms*, joined by set union, where each atom is one of
-
-  ("src", label)        a direct nondeterminism source (rand(), a wall
-                        clock, a pointer hashed/cast to an integer)
-  ("call", name)        the return value of `name` — tainted iff `name`
-                        resolves to a function whose return is tainted
-  ("field", key)        a read of field `key` (`Cls::member`) — tainted
-                        iff any summarized store to that field is
-  ("out", name, k)      the k-th argument slot of a call to `name` —
-                        tainted iff `name` writes a tainted value
-                        through its k-th (pointer/reference) parameter
-
-solve_taint() iterates three maps (return-taint by name, field-taint by
-key, out-param-taint by (name, k)) to their least fixed point; a sink
-argument is then flagged when its atom set resolves to a non-empty label
-set.  The lattice has no Top: unresolvable atoms are bottom (trusted).
+analyzer never saw — resolve as *trusted*: a5 counts them as checking
+and a10 as storing nothing.  That keeps the conservatism direction
+identical to the per-TU checks: under-report rather than guess.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
-
-Atom = list  # JSON-serialized atoms: ["src", label] | ["call", name] | ...
 
 
 def merge_function_maps(tus: list, field: str) -> dict:
@@ -52,8 +31,8 @@ def merge_function_maps(tus: list, field: str) -> dict:
 
     `tus` is a list of (rel, summary) pairs.  Records with the same key
     (one function seen from several TUs, e.g. an inline header method)
-    are union-merged list-field by list-field; scalar fields keep the
-    first non-empty value.
+    are union-merged list-field by list-field; dict fields keep each
+    key's first value, scalar fields the first non-empty value.
     """
     merged: dict = {}
     for _rel, summary in tus:
@@ -76,12 +55,7 @@ def merge_function_maps(tus: list, field: str) -> dict:
                 elif isinstance(v, dict):
                     have = into.setdefault(k, {})
                     for sub_key, sub_v in v.items():
-                        if sub_key not in have:
-                            have[sub_key] = sub_v
-                        elif isinstance(sub_v, list):
-                            for item in sub_v:
-                                if item not in have[sub_key]:
-                                    have[sub_key].append(item)
+                        have.setdefault(sub_key, sub_v)
                 elif not into.get(k):
                     into[k] = v
     return merged
@@ -152,76 +126,19 @@ def solve_check_closure(graph: CallGraph) -> set:
     return checking
 
 
-# -- a8: determinism-taint lattice ------------------------------------------
-
-def resolve_atoms(atoms: list, ret_taint: dict, field_taint: dict,
-                  out_taint: dict) -> set:
-    """Source labels an atom set resolves to under the current maps."""
-    labels: set = set()
-    for atom in atoms:
-        kind = atom[0]
-        if kind == "src":
-            labels.add(atom[1])
-        elif kind == "call":
-            labels |= ret_taint.get(atom[1], frozenset())
-        elif kind == "field":
-            labels |= field_taint.get(atom[1], frozenset())
-        elif kind == "out":
-            labels |= out_taint.get((atom[1], atom[2]), frozenset())
-    return labels
-
-
-def solve_taint(functions: dict) -> tuple[dict, dict, dict]:
-    """Least fixed point of the taint lattice over merged a8 summaries.
-
-    Returns (ret_taint: name -> labels, field_taint: key -> labels,
-    out_taint: (name, k) -> labels).  Overloads merge by name (union).
-    """
-    ret_taint: dict = {}
-    field_taint: dict = {}
-    out_taint: dict = {}
-
-    def step() -> bool:
-        changed = False
-        for rec in functions.values():
-            name = rec.get("name", "")
-            labels = resolve_atoms(rec.get("returns", []),
-                                   ret_taint, field_taint, out_taint)
-            if labels - ret_taint.get(name, set()):
-                ret_taint[name] = ret_taint.get(name, set()) | labels
-                changed = True
-            for idx, atoms in (rec.get("out_params") or {}).items():
-                slot = (name, int(idx))
-                labels = resolve_atoms(atoms, ret_taint, field_taint,
-                                       out_taint)
-                if labels - out_taint.get(slot, set()):
-                    out_taint[slot] = out_taint.get(slot, set()) | labels
-                    changed = True
-            for field, atoms in (rec.get("field_stores") or {}).items():
-                labels = resolve_atoms(atoms, ret_taint, field_taint,
-                                       out_taint)
-                if labels - field_taint.get(field, set()):
-                    field_taint[field] = field_taint.get(field, set()) | labels
-                    changed = True
-        return changed
-
-    CallGraph(functions).fixed_point(step)
-    return ret_taint, field_taint, out_taint
-
-
-# -- a9 / a10: escape fixed points ------------------------------------------
+# -- a10: escape fixed point ------------------------------------------------
 
 def solve_param_escapes(functions: dict, direct_of: Callable[[dict], dict],
                         forwards_of: Callable[[dict], list]) -> dict:
     """Generic 'parameter escapes' fixed point, by (bare name, index).
 
     `direct_of(rec)` maps param index -> reason for parameters the
-    function itself compromises (stores into a member / writes a field
-    through); `forwards_of(rec)` lists [param_idx, callee, arg_idx]
-    edges where the parameter is passed through verbatim.  A parameter
-    escapes when a direct reason exists or a forward reaches an
-    escaping (callee, arg_idx).  Returns {(name, idx): reason}; the
-    reason of a forwarded escape is ("via", callee, underlying_reason).
+    function itself stores into a member; `forwards_of(rec)` lists
+    [param_idx, callee, arg_idx] edges where the parameter is passed
+    through verbatim.  A parameter escapes when a direct reason exists
+    or a forward reaches an escaping (callee, arg_idx).  Returns
+    {(name, idx): reason}; the reason of a forwarded escape is
+    ("via", callee, underlying_reason).
     """
     escapes: dict = {}
     for rec in functions.values():
@@ -244,38 +161,3 @@ def solve_param_escapes(functions: dict, direct_of: Callable[[dict], dict],
 
     CallGraph(functions).fixed_point(step)
     return escapes
-
-
-def solve_method_writes(functions: dict) -> dict:
-    """(cls, method) -> offending field, for methods that write a
-    non-atomic field without a lock — directly or through any same-class
-    method they call on `this` (merged across TUs).  Methods that
-    declare a lock guard are trusted, as are callees never summarized.
-    """
-    writes: dict = {}
-    for rec in functions.values():
-        if rec.get("guarded"):
-            continue
-        fields = rec.get("field_writes") or []
-        if fields:
-            writes.setdefault((rec.get("cls", ""), rec.get("name", "")),
-                              fields[0])
-
-    def step() -> bool:
-        changed = False
-        for rec in functions.values():
-            if rec.get("guarded"):
-                continue
-            slot = (rec.get("cls", ""), rec.get("name", ""))
-            if slot in writes:
-                continue
-            for callee in rec.get("this_calls", []):
-                hit = writes.get((rec.get("cls", ""), callee))
-                if hit is not None:
-                    writes[slot] = hit
-                    changed = True
-                    break
-        return changed
-
-    CallGraph(functions).fixed_point(step)
-    return writes

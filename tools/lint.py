@@ -35,7 +35,6 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC_ROOT = REPO_ROOT / "src"
 
 # (rule, regex, message). Patterns are matched per line after comment
 # stripping, so prose in comments can mention rand()/time() freely.
@@ -113,11 +112,15 @@ def first_code_line(lines: list[str]) -> str:
     return ""
 
 
-def lint_file(path: Path, rules: frozenset[str] = ALL_RULES) -> list[str]:
+def lint_file(path: Path, rules: frozenset[str] = ALL_RULES,
+              root: Path = REPO_ROOT) -> list[str]:
+    """Findings for one file of the tree at `root`: quoted includes
+    resolve against `root`/src, and paths are reported relative to
+    `root`."""
     findings = []
     try:
-        rel = path.relative_to(REPO_ROOT)
-    except ValueError:  # outside the repo (tests lint temp files)
+        rel = path.relative_to(root)
+    except ValueError:  # outside the tree (tests lint temp files)
         rel = path
     text = path.read_text(encoding="utf-8")
     suppressed = suppressed_rules(text)
@@ -139,7 +142,7 @@ def lint_file(path: Path, rules: frozenset[str] = ALL_RULES) -> list[str]:
         if "R3" in rules and not blocked(lineno, "R3"):
             for match in QUOTED_INCLUDE.finditer(line):
                 target = match.group(1)
-                if not (SRC_ROOT / target).is_file():
+                if not (root / "src" / target).is_file():
                     findings.append(
                         f"{rel}:{lineno}: R3: quoted include \"{target}\" does "
                         "not resolve src/-relative (system headers use <...>)")
@@ -154,7 +157,7 @@ def lint_tree(repo_root: Path = REPO_ROOT) -> tuple[list[str], int]:
     for tree, rules in TREE_RULES:
         for path in sorted((repo_root / tree).rglob("*")):
             if path.suffix in (".hpp", ".cpp"):
-                findings.extend(lint_file(path, rules))
+                findings.extend(lint_file(path, rules, repo_root))
                 files += 1
     return findings, files
 

@@ -5,7 +5,8 @@ Covers R1's patterns (what it bans and the chrono clocks it leaves to
 tools/analyze), which rules each tree answers to (src/ R1-R4, bench/
 R1), the inline `srbsg-analyze: suppress(...)` comment support (same
 line, preceding line, the a2-determinism alias for R1, non-matching
-tokens) and the temp-file path fallback.  Exit status 0 pass, 1 fail.
+tokens), the temp-file path fallback, and R3's quoted includes resolving
+against the src/ of the tree being linted.  Exit status 0 pass, 1 fail.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def main() -> int:
                                                       encoding="utf-8")
         findings, files = lint.lint_tree(Path(tmp))
     by_tree = {tree: sorted({f.split(": ")[1] for f in findings
-                             if f"/{tree}/bad.cpp:" in f})
+                             if f.startswith(f"{tree}/bad.cpp:")})
                for tree in ("src", "bench", "tests")}
     want = {"src": ["R1", "R2", "R3", "R4"], "bench": ["R1"], "tests": []}
     if files != 2 or by_tree != want:
@@ -130,6 +131,24 @@ def main() -> int:
              f"over {files}")
     else:
         print("ok: src/ answers to R1-R4, bench/ to R1, tests/ to none")
+
+    # R3 resolves quoted includes against the linted tree's own src/: a
+    # header only that tree holds resolves, and one only this repository
+    # holds does not.
+    with tempfile.TemporaryDirectory(prefix="lint-r3-") as tmp:
+        (Path(tmp) / "src" / "mod").mkdir(parents=True)
+        (Path(tmp) / "src" / "mod" / "only_here.hpp").write_text(
+            "#pragma once\n", encoding="utf-8")
+        (Path(tmp) / "src" / "user.cpp").write_text(
+            "#include \"mod/only_here.hpp\"\n"
+            "#include \"common/check.hpp\"\n", encoding="utf-8")
+        findings, _ = lint.lint_tree(Path(tmp))
+    got = [f.split(": ")[0] for f in findings]
+    if got != ["src/user.cpp:2"]:
+        fail(f"R3 include roots: expected only src/user.cpp:2 (the "
+             f"include the scratch tree lacks), got {findings}")
+    else:
+        print("ok: R3 resolves includes in the linted tree's src/")
 
     return 1 if _failures else 0
 
